@@ -2,7 +2,16 @@
 pluggable coherent modules: provisioning under four node architectures,
 equipment dimensioning, and normalized power/cost comparison."""
 
-from .topology import ChannelGrid, Link, Topology, TopologyError, k_shortest_paths, load_topology, parse_topology
+from .topology import (
+    ChannelGrid,
+    Link,
+    Topology,
+    TopologyError,
+    k_shortest_paths,
+    load_named_topology,
+    load_topology,
+    parse_topology,
+)
 from .traffic import Demand, TrafficMatrix, TrafficScenario, generate_traffic, load_scenario
 from .transceiver import (
     DEFAULT_CATALOG,

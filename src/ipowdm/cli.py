@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 from .dimensioning import (
@@ -38,23 +37,9 @@ from .experiment import (
     run_single,
 )
 from .rmsa import ARCH_NAMES, PlannerConfig
-from .topology import Topology, load_topology, parse_topology
+from .topology import load_named_topology
 from .traffic import generate_traffic, load_scenario
 from .transceiver import DEFAULT_CATALOG, load_catalog
-
-BUILTIN_TOPOLOGIES = ("j14", "g17")
-
-
-def load_named_topology(name_or_path: str) -> Topology:
-    if name_or_path.lower() in BUILTIN_TOPOLOGIES:
-        text = (
-            resources.files("ipowdm.data")
-            .joinpath(f"{name_or_path.lower()}.json")
-            .read_text()
-        )
-        return parse_topology(text)
-    return load_topology(name_or_path)
-
 
 def _common_flags(p: argparse.ArgumentParser, multi=False):
     action = "append" if multi else "store"

@@ -4,8 +4,11 @@ baseline architecture. Output is deterministic and byte-stable."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field
 
 from .dimensioning import DimensioningConfig, PowerTable, network_cost, network_power
 from .rmsa import ARCH_NAMES, PlannerConfig, provision_all
@@ -159,35 +162,33 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_text(header, records) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in rec] for rec in records)
+    return out.getvalue()
+
+
 def rows_to_csv(rows: list[RunResult]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        d = asdict(row)
-        lines.append(",".join(_fmt(d[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return _csv_text(CSV_COLUMNS, ([getattr(row, c) for c in CSV_COLUMNS] for row in rows))
+
+
+_COLUMN_TYPES = typing.get_type_hints(RunResult)
 
 
 def rows_from_csv(text: str) -> list[RunResult]:
-    lines = [l for l in text.strip().splitlines() if l]
-    header = lines[0].split(",")
+    records = [rec for rec in csv.reader(io.StringIO(text)) if rec]
+    header = records[0] if records else []
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {header}")
     out = []
-    for line in lines[1:]:
-        vals = dict(zip(CSV_COLUMNS, line.split(",")))
-        out.append(
-            RunResult(
-                topology=vals["topology"], arch=vals["arch"],
-                scenario=vals["scenario"], seed=int(vals["seed"]),
-                zr_count=int(vals["zr_count"]), zrplus_count=int(vals["zrplus_count"]),
-                b2b_modules=int(vals["b2b_modules"]),
-                router_ports=int(vals["router_ports"]),
-                module_cost=float(vals["module_cost"]),
-                power_zr=float(vals["power_zr"]), power_ip=float(vals["power_ip"]),
-                power_optical=float(vals["power_optical"]),
-                power_total=float(vals["power_total"]), blocked=int(vals["blocked"]),
+    for n, rec in enumerate(records[1:], start=1):
+        if len(rec) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"CSV row {n} has {len(rec)} fields, expected {len(CSV_COLUMNS)}"
             )
-        )
+        out.append(RunResult(**{c: _COLUMN_TYPES[c](v) for c, v in zip(CSV_COLUMNS, rec)}))
     return out
 
 
@@ -195,10 +196,7 @@ def dicts_to_csv(entries: list[dict]) -> str:
     if not entries:
         return "\n"
     cols = list(entries[0].keys())
-    lines = [",".join(cols)]
-    for e in entries:
-        lines.append(",".join(_fmt(e[c]) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv_text(cols, ([e[c] for c in cols] for e in entries))
 
 
 def rows_to_json(rows: list[RunResult]) -> str:

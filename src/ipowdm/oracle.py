@@ -173,13 +173,13 @@ def _all_paths_cache(topo):
     return paths
 
 
-def _subflow_rates(rate, arch):
-    if arch == "TrZR":
-        return None  # split handled by channel enumeration
+def _subflow_rates(rate, catalog):
+    """Greedy split into sub-flows of at most one channel of the catalog."""
+    unit = max(m.rate_gbps for m in catalog)
     out = []
     remaining = rate
     while remaining > 0:
-        part = min(remaining, 400)
+        part = min(remaining, unit)
         out.append(part)
         remaining -= part
     return out
@@ -286,7 +286,7 @@ def exhaustive_min_cost_provision(
 
     flows: list[tuple[str, str, int]] = []
     for d in demands:
-        for r in _subflow_rates(d.rate_gbps, arch):
+        for r in _subflow_rates(d.rate_gbps, catalog):
             flows.append((d.src, d.dst, r))
     flows.sort(key=lambda f: (-f[2], f[0], f[1]))
 

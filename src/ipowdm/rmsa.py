@@ -69,7 +69,6 @@ class PlannerConfig:
     groom_detour_factor: float = 1.0
     groom_max_flows_per_lp: int = 2
     groom_min_rate: int = 150
-    groom_new_edges: int = 0
     # Hop-by-hop (no optical bypass) lightpaths cost modules per fiber hop,
     # not per kilometre, so a new-lightpath edge carries this dominant per-hop
     # weight; route length only breaks ties between equal-hop routes.
@@ -96,8 +95,6 @@ class PlannerConfig:
             )
         if self.groom_min_rate < 0:
             raise ValueError(f"groom_min_rate must be >= 0, got {self.groom_min_rate}")
-        if self.groom_new_edges < 0:
-            raise ValueError(f"groom_new_edges must be >= 0, got {self.groom_new_edges}")
         if self.opaque_hop_weight <= 0:
             raise ValueError(
                 f"opaque_hop_weight must be > 0, got {self.opaque_hop_weight}"
@@ -247,14 +244,9 @@ def _chain_feasible(link_lengths, rate, catalog) -> bool:
 
 
 def build_auxiliary_graph(
-    state: NetworkState, demand: Demand, parent_rate: int | None = None
+    state: NetworkState, demand: Demand
 ) -> dict[tuple[str, str], list[AuxEdge]]:
-    """Edges keyed by (u, v); each key holds alternatives best-first.
-
-    ``parent_rate`` is the rate of the original demand when ``demand`` is an
-    inverse-multiplexed sub-flow (unused here; the chain-grooming policy
-    applies the rate floor to it).
-    """
+    """Edges keyed by (u, v); each key holds alternatives best-first."""
     topo = state.topology
     arch = state.arch
     factor = state.cfg.grooming_weight_factor
@@ -403,7 +395,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, undo):
     topo = state.topology
     lengths = topo.path_link_lengths(edge.subpath)
     placements = []
-    if state.arch.name == "TrZR":
+    if not state.arch.ip_regeneration:
         modes = select_modes_min_channels(rate, sum(lengths), state.catalog, lengths)
         remaining = rate
         for m in modes:
@@ -432,75 +424,20 @@ def _realize_candidate_edge(state, edge, rate, flow_id, undo):
     return placements
 
 
-def _lex_aux_path(edges, src, dst):
-    """Dijkstra minimizing (new-lightpath edges, weight), ties on node sequence."""
-    adj: dict[str, list[AuxEdge]] = {}
-    for (u, _v), alts in edges.items():
-        if alts:
-            adj.setdefault(u, []).append(alts[0])
-    for lst in adj.values():
-        lst.sort(key=lambda e: e.v)
-    heap = [(0, 0.0, (src,))]
-    done = set()
-    while heap:
-        nnew, dist, path = heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return [edges[(u, v)][0] for u, v in zip(path, path[1:])]
-        if node in done:
-            continue
-        done.add(node)
-        for e in adj.get(node, ()):
-            if e.v in path:
-                continue
-            step = 1 if e.kind == _NEW else 0
-            heappush(heap, (nnew + step, dist + e.weight, path + (e.v,)))
-    return None
+def _place_chain(state: NetworkState, flow: FlowRecord, chain, undo) -> None:
+    """Carry ``flow`` over every edge of ``chain``, all or nothing.
 
-
-def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo,
-                     parent_rate: int | None = None) -> bool:
-    """Ride existing lightpaths end to end if a short, detour-free chain exists.
-
-    Bypass architectures with IP grooming reuse residual capacity along a
-    chain of at most ``groom_chain_hops`` lightpaths (optionally bridged by up
-    to ``groom_new_edges`` fresh segments) following a shortest physical
-    route; anything longer opens a fresh transparent path instead, because
-    half-groomed detours fragment capacity into short, poorly reusable
-    lightpaths.
-
-    Demands whose original rate is below ``groom_min_rate`` may still ride
-    chains of existing lightpaths, but never open fresh segments while doing
-    so: grooming a small demand is only worthwhile when it is pure reuse.
+    Raises NoSpectrum or NoFeasibleMode with the state unchanged; on success
+    sets the flow's placements and appends the reverting steps to ``undo``.
     """
-    cfg = state.cfg
-    floor_rate = flow.rate_gbps if parent_rate is None else parent_rate
-    max_new = 0 if floor_rate < cfg.groom_min_rate else cfg.groom_new_edges
-    chain = _lex_aux_path(edges, flow.src, flow.dst)
-    if chain is None:
-        return False
-    n_new = sum(1 for e in chain if e.kind == _NEW)
-    n_groom = len(chain) - n_new
-    if n_groom == 0 or n_groom > cfg.groom_chain_hops or n_new > max_new:
-        return False
-    chain_km = sum(
-        state.topology.path_length_km(
-            state.lightpaths[e.lp_id].route if e.kind == _GROOM else e.subpath
-        )
-        for e in chain
-    )
-    direct = state.paths(flow.src, flow.dst)
-    if not direct:
-        return False
-    direct_km = state.topology.path_length_km(direct[0])
-    if chain_km > cfg.groom_detour_factor * direct_km:
-        return False
     local: list = []
+    placements: list[tuple[int, int]] = []
     try:
-        placements = []
         for e in chain:
             if e.kind == _GROOM:
                 lp = state.lightpaths[e.lp_id]
+                if lp.residual < flow.rate_gbps:
+                    raise NoSpectrum("stale grooming edge")
                 entry = (flow.flow_id, flow.rate_gbps)
                 lp.carried.append(entry)
                 local.append(lambda lp=lp, entry=entry: lp.carried.remove(entry))
@@ -512,17 +449,46 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo,
     except (NoSpectrum, NoFeasibleMode):
         for op in reversed(local):
             op()
-        return False
+        raise
     flow.placements = placements
     undo.extend(local)
+
+
+def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo) -> bool:
+    """Ride existing lightpaths end to end if a short, detour-free chain exists.
+
+    Bypass architectures with IP grooming reuse residual capacity along a
+    shortest chain of at most ``groom_chain_hops`` lightpaths, searched over
+    the node pairs whose best edge grooms. The chain may open no new
+    lightpath and must not be longer than ``groom_detour_factor`` times the
+    shortest physical route; otherwise the flow opens a fresh transparent
+    path instead, because half-groomed detours fragment capacity into short,
+    poorly reusable lightpaths.
+    """
+    cfg = state.cfg
+    groom_edges = {key: alts for key, alts in edges.items() if alts[0].kind == _GROOM}
+    chain = _aux_shortest_path(groom_edges, flow.src, flow.dst)
+    if not chain or len(chain) > cfg.groom_chain_hops:
+        return False
+    chain_km = sum(
+        state.topology.path_length_km(state.lightpaths[e.lp_id].route) for e in chain
+    )
+    direct = state.paths(flow.src, flow.dst)
+    if not direct:
+        return False
+    if chain_km > cfg.groom_detour_factor * state.topology.path_length_km(direct[0]):
+        return False
+    # every edge grooms a lightpath whose residual was checked when the
+    # graph was built, so placing the chain cannot fail
+    _place_chain(state, flow, chain, undo)
     return True
 
 
-def _route_flow(state: NetworkState, flow: FlowRecord, demand_like: Demand, undo,
-                parent_rate: int | None = None):
-    edges = build_auxiliary_graph(state, demand_like, parent_rate)
+def _route_flow(state: NetworkState, flow: FlowRecord, undo):
+    demand = Demand(flow.src, flow.dst, flow.rate_gbps)
+    edges = build_auxiliary_graph(state, demand)
     if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
-        if _try_groom_chain(state, flow, edges, undo, parent_rate):
+        if _try_groom_chain(state, flow, edges, undo):
             return
         edges = {k: alts for k, alts in
                  ((key, [e for e in alts if e.kind == _NEW]) for key, alts in edges.items())
@@ -532,30 +498,12 @@ def _route_flow(state: NetworkState, flow: FlowRecord, demand_like: Demand, undo
         path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
         if path_edges is None:
             reason = "no_spectrum" if spectrum_failed else "no_feasible_mode"
-            raise BlockedError(demand_like, reason)
-        attempt_undo: list = []
+            raise BlockedError(demand, reason)
         try:
-            placements: list[tuple[int, int]] = []
-            for e in path_edges:
-                if e.kind == _GROOM:
-                    lp = state.lightpaths[e.lp_id]
-                    if lp.residual < flow.rate_gbps:
-                        raise NoSpectrum("stale grooming edge")
-                    entry = (flow.flow_id, flow.rate_gbps)
-                    lp.carried.append(entry)
-                    attempt_undo.append(lambda lp=lp, entry=entry: lp.carried.remove(entry))
-                    placements.append((lp.id, flow.rate_gbps))
-                else:
-                    placements.extend(
-                        _realize_candidate_edge(state, e, flow.rate_gbps, flow.flow_id, attempt_undo)
-                    )
-            flow.placements = placements
-            undo.extend(attempt_undo)
+            _place_chain(state, flow, path_edges, undo)
             return
         except (NoSpectrum, NoFeasibleMode):
             spectrum_failed = True
-            for op in reversed(attempt_undo):
-                op()
             # drop the first failing-capable edge alternative and retry
             dropped = False
             for e in path_edges:
@@ -567,8 +515,8 @@ def _route_flow(state: NetworkState, flow: FlowRecord, demand_like: Demand, undo
                     dropped = True
                     break
             if not dropped:
-                raise BlockedError(demand_like, "no_spectrum") from None
-    raise BlockedError(demand_like, "no_spectrum")
+                raise BlockedError(demand, "no_spectrum") from None
+    raise BlockedError(demand, "no_spectrum")
 
 
 def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:
@@ -578,7 +526,7 @@ def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:
     shortest physical path, so sub-flows ride single lightpaths where the
     reach allows it.
     """
-    if state.arch.name == "TrZR":
+    if not state.arch.ip_regeneration:
         return [demand.rate_gbps]  # min-channel split handled at realization
     paths = state.paths(demand.src, demand.dst)
     unit = max(m.rate_gbps for m in state.catalog)
@@ -621,8 +569,7 @@ def route_demand(
             if defer_small and rate < state.cfg.groom_min_rate:
                 deferred.append((demand, flow))
                 continue
-            sub = Demand(demand.src, demand.dst, rate)
-            _route_flow(state, flow, sub, undo, parent_rate=demand.rate_gbps)
+            _route_flow(state, flow, undo)
     except BlockedError:
         for op in reversed(undo):
             op()
@@ -642,49 +589,45 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
 
     Two lightpaths L1: X->B and L2: B->Y with identical carried sets and the
     same mode pass traffic straight through the router at B; replace them by
-    one lightpath X->..->Y with a b2b regen at B. Repeats until fixpoint.
-    Returns the number of merges performed.
+    one lightpath X->..->Y with a b2b regen at B. One pass in id order; each
+    merged lightpath joins the end of the pass, so merges chain until no pair
+    is left. Returns the number of merges performed.
     """
+    queue = sorted(state.lightpaths.values(), key=lambda l: l.id)
+    by_start: dict[str, list[Lightpath]] = {}
+    for lp in queue:
+        by_start.setdefault(lp.route[0], []).append(lp)
     merges = 0
-    changed = True
-    while changed:
-        changed = False
-        by_start: dict[str, list[Lightpath]] = {}
-        for lp in state.lightpaths.values():
-            by_start.setdefault(lp.route[0], []).append(lp)
-        for lst in by_start.values():
-            lst.sort(key=lambda l: l.id)
-        for l1 in sorted(state.lightpaths.values(), key=lambda l: l.id):
-            if l1.id not in state.lightpaths:
+    for l1 in queue:
+        if l1.id not in state.lightpaths:
+            continue
+        b = l1.route[-1]
+        for l2 in by_start.get(b, ()):
+            if l2.id == l1.id or l2.id not in state.lightpaths:
                 continue
-            b = l1.route[-1]
-            for l2 in by_start.get(b, ()):
-                if l2.id == l1.id or l2.id not in state.lightpaths:
-                    continue
-                if l2.mode.key != l1.mode.key:
-                    continue
-                if sorted(l1.carried) != sorted(l2.carried) or not l1.carried:
-                    continue
-                merged_route = l1.route + l2.route[1:]
-                if len(set(merged_route)) != len(merged_route):
-                    continue
-                merged = Lightpath(
-                    state.new_lp_id(),
-                    merged_route,
-                    l1.mode,
-                    l1.segments + l2.segments,
-                    l1.b2b_regen_nodes + (b,) + l2.b2b_regen_nodes,
-                    list(l1.carried),
-                )
-                del state.lightpaths[l1.id]
-                del state.lightpaths[l2.id]
-                state.lightpaths[merged.id] = merged
-                _remap_records(state, {l1.id: merged.id, l2.id: merged.id})
-                merges += 1
-                changed = True
-                break
-            if changed:
-                break
+            if l2.mode.key != l1.mode.key:
+                continue
+            if sorted(l1.carried) != sorted(l2.carried) or not l1.carried:
+                continue
+            merged_route = l1.route + l2.route[1:]
+            if len(set(merged_route)) != len(merged_route):
+                continue
+            merged = Lightpath(
+                state.new_lp_id(),
+                merged_route,
+                l1.mode,
+                l1.segments + l2.segments,
+                l1.b2b_regen_nodes + (b,) + l2.b2b_regen_nodes,
+                list(l1.carried),
+            )
+            del state.lightpaths[l1.id]
+            del state.lightpaths[l2.id]
+            state.lightpaths[merged.id] = merged
+            _remap_records(state, {l1.id: merged.id, l2.id: merged.id})
+            queue.append(merged)
+            by_start.setdefault(merged.route[0], []).append(merged)
+            merges += 1
+            break
     return merges
 
 
@@ -735,10 +678,7 @@ def provision_all(
 ) -> NetworkState:
     """Provision the full matrix; blocking is recorded, never fatal."""
     cfg = cfg or PlannerConfig()
-    # TrIPandZR provisions exactly like TrIP and converts pure regens afterwards,
-    # which keeps its module tally identical to TrIP by construction.
-    engine_arch = "TrIP" if arch == "TrIPandZR" else arch
-    state = NetworkState(topo, engine_arch, cfg, catalog)
+    state = NetworkState(topo, arch, cfg, catalog)
     # Stage 1: high-rate flows build the lightpath mesh; grooming-capable
     # architectures park flows below groom_min_rate for stage 2.
     deferred: list[tuple[Demand, FlowRecord]] = []
@@ -758,13 +698,14 @@ def provision_all(
             continue  # a sibling sub-flow already blocked this demand
         undo: list = []
         try:
-            sub = Demand(flow.src, flow.dst, flow.rate_gbps)
-            _route_flow(state, flow, sub, undo, parent_rate=demand.rate_gbps)
+            _route_flow(state, flow, undo)
         except BlockedError as exc:
             _unplace_demand(state, demand)
             state.blocked.append((demand, exc.reason))
-    if arch == "TrIPandZR":
-        state.arch = ARCHITECTURES["TrIPandZR"]
+    # Routers that both regenerate and may use b2b pairs (TrIPandZR) route
+    # exactly like TrIP and convert pure regens afterwards, which keeps the
+    # module tally identical to TrIP by construction.
+    if state.arch.ip_regeneration and state.arch.b2b_zr_regeneration:
         merge_pure_ip_regens(state)
     state.audit()
     return state

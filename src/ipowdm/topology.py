@@ -18,7 +18,10 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
+
+BUILTIN_TOPOLOGIES = ("j14", "g17")
 
 
 class TopologyError(ValueError):
@@ -188,6 +191,18 @@ def parse_topology(source: str | dict) -> Topology:
 
 def load_topology(path: str | Path) -> Topology:
     return parse_topology(Path(path).read_text())
+
+
+def load_named_topology(name_or_path: str) -> Topology:
+    """A builtin topology by name (case-insensitive), else a JSON file path."""
+    if name_or_path.lower() in BUILTIN_TOPOLOGIES:
+        text = (
+            resources.files("ipowdm.data")
+            .joinpath(f"{name_or_path.lower()}.json")
+            .read_text()
+        )
+        return parse_topology(text)
+    return load_topology(name_or_path)
 
 
 def _dijkstra(topo: Topology, src: str, dst: str, removed_nodes: set, removed_edges: set):

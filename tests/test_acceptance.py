@@ -15,7 +15,7 @@ import pytest
 
 import conftest
 from helpers import toy_instance
-from ipowdm.cli import load_named_topology, main
+from ipowdm.cli import main
 from ipowdm.dimensioning import network_cost
 from ipowdm.experiment import ExperimentConfig, average_rows, run_experiment, run_single
 from ipowdm.oracle import (
@@ -25,6 +25,7 @@ from ipowdm.oracle import (
     exhaustive_regen_min,
 )
 from ipowdm.rmsa import ARCH_NAMES, provision_all
+from ipowdm.topology import load_named_topology
 from ipowdm.traffic import load_scenario
 from ipowdm.transceiver import (
     DEFAULT_CATALOG,

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from helpers import mk_topo
-from ipowdm.cli import load_named_topology, main
+from ipowdm.cli import main
 from ipowdm.dimensioning import network_cost, network_power
 from ipowdm.experiment import (
     CSV_COLUMNS,
@@ -17,7 +17,7 @@ from ipowdm.experiment import (
     run_experiment,
     run_single,
 )
-from ipowdm.topology import TopologyError
+from ipowdm.topology import TopologyError, load_named_topology
 from ipowdm.traffic import generate_traffic, load_scenario
 
 TOY = mk_topo("toy", [("a", "b", 100), ("b", "c", 200), ("a", "c", 400)])
@@ -84,10 +84,15 @@ class TestReporting:
                     assert vb == pytest.approx(va, abs=5e-5)
                 else:
                     assert vb == va
+        # a comma in a name is quoted, not read back as a column break
+        odd = dataclasses.replace(back[0], topology="net, v2")
+        assert rows_from_csv(rows_to_csv([odd])) == [odd]
 
     def test_csv_header_checked(self):
         with pytest.raises(ValueError, match="unexpected CSV header"):
             rows_from_csv("nope,nope\n1,2\n")
+        with pytest.raises(ValueError, match="row 1 has 2 fields"):
+            rows_from_csv(",".join(CSV_COLUMNS) + "\n1,2\n")
 
     def test_average_rows_means(self):
         rows = run_experiment(

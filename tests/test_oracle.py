@@ -12,6 +12,7 @@ from ipowdm.oracle import (
 )
 from ipowdm.rmsa import provision_all
 from ipowdm.traffic import Demand, TrafficMatrix
+from ipowdm.transceiver import DEFAULT_CATALOG
 
 TRIANGLE = mk_topo("tri", [("A", "B", 1), ("B", "C", 1), ("A", "C", 3)])
 
@@ -99,6 +100,17 @@ class TestMinCostProvision:
         dem = [Demand(topo.nodes[0], topo.nodes[1], 100)] * demands
         with pytest.raises(InstanceTooLarge):
             exhaustive_min_cost_provision(topo, dem, topo and "TrIP", channels)
+
+    @pytest.mark.parametrize("arch", ["OpIP", "TrIP", "TrZR", "TrIPandZR"])
+    def test_subflow_split_follows_catalog_maximum(self, arch):
+        # without 400G modes a 500G demand splits into 300G channels, not 400G
+        catalog = tuple(m for m in DEFAULT_CATALOG if m.rate_gbps != 400)
+        topo = mk_topo("t", [("a", "b", 100), ("b", "c", 100)])
+        demand = Demand("a", "c", 500)
+        opt_cost, _ = exhaustive_min_cost_provision(topo, [demand], arch, catalog=catalog)
+        state = provision_all(topo, TrafficMatrix("one", 0, (demand,)), arch, catalog=catalog)
+        assert not state.blocked
+        assert opt_cost <= network_cost(state).module_cost
 
     def test_lower_bound_for_heuristic(self):
         for seed in range(5):

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,11 +15,13 @@ from ipowdm.rmsa import (
     provision_all,
     route_demand,
 )
-from ipowdm.traffic import Demand, TrafficMatrix
+from ipowdm.topology import load_named_topology
+from ipowdm.traffic import Demand, TrafficMatrix, generate_traffic, load_scenario
 
 LINE_SHORT = [("a", "b", 100), ("b", "c", 100)]
 LINE_LONG = [("a", "b", 600), ("b", "c", 600)]
 LINE_XLONG = [("a", "b", 1600), ("b", "c", 1600)]
+LINE3_XLONG = LINE_XLONG + [("c", "d", 1600)]
 
 GROOMING_ARCHS = [n for n in ARCH_NAMES if ARCHITECTURES[n].intermediate_ip_grooming]
 
@@ -42,7 +47,6 @@ class TestConfigValidation:
             {"groom_detour_factor": 0.9},
             {"groom_max_flows_per_lp": 0},
             {"groom_min_rate": -1},
-            {"groom_new_edges": -1},
             {"opaque_hop_weight": 0.0},
         ],
     )
@@ -153,6 +157,17 @@ class TestPureRegenMerge:
         assert rate == 200
         assert st.lightpaths[lp_id].b2b_regen_nodes == ("b",)
 
+    def test_merged_lightpath_merges_again(self):
+        # a-b, b-c, c-d each terminate in routers; the a-c merge result is
+        # itself merged with c-d into one lightpath with two b2b regens
+        st = provision(LINE3_XLONG, "TrIPandZR", Demand("a", "d", 200))
+        (lp,) = st.lightpaths.values()
+        assert lp.route == ("a", "b", "c", "d")
+        assert lp.b2b_regen_nodes == ("b", "c")
+        assert len(lp.segments) == 3
+        assert st.records[("a", "d")][0].placements == [(lp.id, 200)]
+        assert lp.id == 5  # three routed lightpaths, then two merges
+
     def test_grooming_node_is_not_merged(self):
         # b terminates two lightpaths but they carry different flow sets, so
         # the router there is grooming, not purely regenerating
@@ -243,7 +258,45 @@ class TestBlockingAndAtomicity:
         ]
 
 
+# sha256 of the sorted-key JSON of provision_all(...).to_dict(): pins lightpath
+# ids, routes, modes, channels, carried flows, merge order and blocking.
+GOLDEN_STATE_DIGESTS = {
+    ("toy0", "OpIP"): "f3a9d6f0afecf0c9d0e6235e85487e06a9229a119292aa4fdd2d15d34161a60d",
+    ("toy0", "TrIP"): "52ce82a20ac8f4a954751e53c7337f9e47d64f006cf5f57f0107aee8f6912a49",
+    ("toy0", "TrZR"): "69faeabe129bc06b979074ed42add68b032cac1e2e38ea457b71b1ccf57f7d86",
+    ("toy0", "TrIPandZR"): "af0bfda292db6c179066cc478901bdfb8f1a2d740184d5a6ca0ca8d135b159ef",
+    ("toy1", "OpIP"): "801edc8df02791e5939b7ecf08c5634543f9d1c7b3861fad952d5156c328ed4b",
+    ("toy1", "TrIP"): "8ae7f4f1976ef9af3190c02942a15c8802364d442cbd445bf1444da446ad0197",
+    ("toy1", "TrZR"): "8e20b997ab522ce6e30dff190f301a61fdab85eacf3dbfa17c42c38443ebde61",
+    ("toy1", "TrIPandZR"): "5a9ca3c75ca8b8e8c91a1a294059341c8623b9898393b85ba6c58b377559f698",
+    ("toy2", "OpIP"): "7c63c2b7309817377b778a6979ae9b2d3230824d8322514646d19a4836ee7bda",
+    ("toy2", "TrIP"): "691d408c94340d3678f7974f233e2396be78291ba9f2fca7b04b37aeb25ad9eb",
+    ("toy2", "TrZR"): "faa9342c25c96d31f30a68c8e9f24541704c74f1f0e4b1ea74e72ec4223284b9",
+    ("toy2", "TrIPandZR"): "30efc31e692a73aeb6683013a8d9251b256647a33c2167816597ccba96e9fe63",
+    ("toy3", "OpIP"): "2b5e7619a66d8d7d5249f4b053766b116ba4b1e7c09512143cdb2ef1930bcb16",
+    ("toy3", "TrIP"): "735c7944e58431b7c6a9b18439ecea131b6f408b72835d8e9f4c4cc039641c29",
+    ("toy3", "TrZR"): "c045707fbae420b3dacf81829cf115871e0cad7b0313092c18660b4bfd013a49",
+    ("toy3", "TrIPandZR"): "818d0d83d5df066af2b4595f5020c97b6b207354f6b992ebffd10e6a38f3d447",
+    ("j14", "OpIP"): "080bd735d1fde6f8cafbe3d2d703edceabff69022728e502391f118c4fca46f0",
+    ("j14", "TrIP"): "420fdca3fcec8c132b6624c82261d38040798a08ba8282263b05437707a7955c",
+    ("j14", "TrZR"): "4d5fdd0f15f37a16fd998cb57f65c27d131dc20377a98e6b26b05fdfb79d05cd",
+    ("j14", "TrIPandZR"): "78173eacd162e2bc4c1dec3d38c0e94cf8f2070e922fa54f9de39bf0a8b90d3c",
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_STATE_DIGESTS), ids="/".join)
+    def test_golden_state_digest(self, case):
+        instance, arch = case
+        if instance == "j14":
+            topo = load_named_topology("j14")
+            m = generate_traffic(topo, load_scenario("TS1"), 0)
+        else:
+            topo, m = toy_instance(int(instance[3:]))
+        doc = provision_all(topo, m, arch).to_dict()
+        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert digest == GOLDEN_STATE_DIGESTS[case]
+
     def test_identical_runs_identical_states(self):
         for seed in (0, 3):
             topo, m = toy_instance(seed)

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from helpers import mk_topo
-from ipowdm.cli import load_named_topology
+from ipowdm.topology import load_named_topology
 from ipowdm.traffic import (
     BUILTIN_SCENARIOS,
     RATE_CLASSES,
