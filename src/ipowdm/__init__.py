@@ -15,6 +15,7 @@ from .topology import (
 from .traffic import Demand, TrafficMatrix, TrafficScenario, generate_traffic, load_scenario
 from .transceiver import (
     DEFAULT_CATALOG,
+    CatalogError,
     LinkExceedsReach,
     NoFeasibleMode,
     TransceiverMode,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappush, heappop
 
 from .topology import Topology, k_shortest_paths
@@ -120,16 +121,28 @@ class Segment:
 
 @dataclass
 class Lightpath:
+    """A provisioned lightpath; ``carried`` changes only via carry/release,
+    which keep ``residual`` equal to the unused part of the mode rate."""
+
     id: int
     route: tuple[str, ...]
     mode: TransceiverMode
     segments: list[Segment]
     b2b_regen_nodes: tuple[str, ...] = ()
     carried: list[tuple[str, int]] = field(default_factory=list)
+    length_km: float = field(kw_only=True)  # topology.path_length_km(route)
+    residual: int = field(init=False)
 
-    @property
-    def residual(self) -> int:
-        return self.mode.rate_gbps - sum(r for _, r in self.carried)
+    def __post_init__(self):
+        self.residual = self.mode.rate_gbps - sum(r for _, r in self.carried)
+
+    def carry(self, flow_id: str, rate: int) -> None:
+        self.carried.append((flow_id, rate))
+        self.residual -= rate
+
+    def release(self, flow_id: str, rate: int) -> None:
+        self.carried.remove((flow_id, rate))
+        self.residual += rate
 
     @property
     def endpoints(self) -> tuple[str, str]:
@@ -162,37 +175,63 @@ class NetworkState:
         self.records: dict[tuple[str, str], list[FlowRecord]] = {}
         self.blocked: list[tuple[Demand, str]] = []
         self._next_id = 0
-        self._ksp: dict[tuple[str, str], list[list[str]]] = {}
         self._new_lp_penalty = 2.0 * min(m.cost_units for m in catalog)
 
     # -- helpers -------------------------------------------------------------
 
     def paths(self, src: str, dst: str) -> list[list[str]]:
-        key = (src, dst)
-        if key not in self._ksp:
-            self._ksp[key] = k_shortest_paths(self.topology, src, dst, self.cfg.k)
-        return self._ksp[key]
+        return k_shortest_paths(self.topology, src, dst, self.cfg.k)
 
     def new_lp_id(self) -> int:
         self._next_id += 1
         return self._next_id
 
-    def recompute_occupancy(self) -> dict[tuple[str, str], set[int]]:
-        occ: dict[tuple[str, str], set[int]] = {f: set() for f in self.occupancy}
-        for lp in self.lightpaths.values():
-            for seg in lp.segments:
-                for u, v in zip(seg.nodes, seg.nodes[1:]):
-                    if seg.channel in occ[(u, v)]:
-                        raise AssertionError(
-                            f"channel clash on fiber {(u, v)} channel {seg.channel}"
-                        )
-                    occ[(u, v)].add(seg.channel)
-        return occ
-
     def audit(self) -> None:
-        """Occupancy must equal the union of lightpath segment claims."""
-        if self.recompute_occupancy() != self.occupancy:
+        """Check the bookkeeping the engine relies on; raises AssertionError.
+
+        Occupancy equals the union of segment claims, without clashes;
+        lightpath ids ascend in dict order; stored residuals and lengths match
+        carried flows and routes; flow placements and lightpath carried
+        entries agree both ways.
+        """
+        occ: dict[tuple[str, str], set[int]] = {f: set() for f in self.occupancy}
+        claims = 0
+        placements = {
+            flow.flow_id: flow.placements for flows in self.records.values() for flow in flows
+        }
+        path_length_km = self.topology.path_length_km
+        prev_id = 0
+        for lp_id, lp in self.lightpaths.items():
+            if lp_id != lp.id or lp_id <= prev_id:
+                raise AssertionError(f"lightpath {lp_id} out of id order after {prev_id}")
+            prev_id = lp_id
+            for seg in lp.segments:
+                nodes = seg.nodes
+                if len(nodes) == 2:  # one fiber, the common case: skip the zip
+                    occ[nodes].add(seg.channel)
+                    claims += 1
+                    continue
+                claims += len(nodes) - 1
+                for fiber in zip(nodes, nodes[1:]):
+                    occ[fiber].add(seg.channel)
+            used = 0
+            for flow_id, rate in lp.carried:
+                used += rate
+                if (lp_id, rate) not in placements.get(flow_id, ()):
+                    raise AssertionError(f"lightpath {lp_id} carries unplaced {flow_id} {rate}G")
+            if lp.residual != lp.mode.rate_gbps - used or lp.residual < 0:
+                raise AssertionError(f"lightpath {lp_id}: residual {lp.residual}, {used}G carried")
+            if lp.length_km != path_length_km(lp.route):
+                raise AssertionError(f"lightpath {lp_id}: length {lp.length_km} diverges from route")
+        if claims != sum(map(len, occ.values())):
+            raise AssertionError("channel clash: two segments claim one channel on a fiber")
+        if occ != self.occupancy:
             raise AssertionError("stored occupancy diverges from lightpath claims")
+        for flow_id, placed in placements.items():
+            for lp_id, rate in placed:
+                lp = self.lightpaths.get(lp_id)
+                if lp is None or (flow_id, rate) not in lp.carried:
+                    raise AssertionError(f"{flow_id} placed {rate}G on {lp_id}, not carried")
 
     def to_dict(self) -> dict:
         return {
@@ -256,15 +295,14 @@ def build_auxiliary_graph(
     def add(edge: AuxEdge):
         edges.setdefault((edge.u, edge.v), []).append(edge)
 
-    for lp in sorted(state.lightpaths.values(), key=lambda l: l.id):
+    for lp in state.lightpaths.values():  # ids only grow: dict order is id order
         if lp.residual < demand.rate_gbps:
             continue
         if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
             continue
         if arch.intermediate_ip_grooming and len(lp.carried) >= state.cfg.groom_max_flows_per_lp:
             continue
-        add(AuxEdge(lp.route[0], lp.route[-1],
-                    factor * topo.path_length_km(lp.route), _GROOM, lp_id=lp.id))
+        add(AuxEdge(lp.route[0], lp.route[-1], factor * lp.length_km, _GROOM, lp_id=lp.id))
 
     if not arch.optical_bypass:
         for u, v in topo.directed_fibers():
@@ -378,7 +416,8 @@ def _create_lightpath(state, route, mode, b2b_nodes, undo):
         for fiber, ch in claimed:
             state.occupancy[fiber].discard(ch)
         raise
-    lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes))
+    lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes),
+                   length_km=state.topology.path_length_km(route))
     state.lightpaths[lp.id] = lp
 
     def revert():
@@ -403,7 +442,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, undo):
             b2b = tuple(edge.subpath[i] for i in plan.boundaries)
             lp = _create_lightpath(state, edge.subpath, m, b2b, undo)
             amount = min(remaining, m.rate_gbps)
-            lp.carried.append((flow_id, amount))
+            lp.carry(flow_id, amount)
             remaining -= amount
             placements.append((lp.id, amount))
         return placements
@@ -411,7 +450,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, undo):
     mode, plan = _pick_chain_mode(lengths, rate, state.catalog)
     if plan.regen_count == 0:
         lp = _create_lightpath(state, edge.subpath, mode, (), undo)
-        lp.carried.append((flow_id, rate))
+        lp.carry(flow_id, rate)
         return [(lp.id, rate)]
     # IP regeneration: terminate at routers; each segment is its own lightpath
     cuts = [0] + list(plan.boundaries) + [len(edge.subpath) - 1]
@@ -419,7 +458,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, undo):
         seg = edge.subpath[a:b + 1]
         seg_mode = _best_segment_mode(topo.path_length_km(seg), rate, state.catalog)
         lp = _create_lightpath(state, seg, seg_mode, (), undo)
-        lp.carried.append((flow_id, rate))
+        lp.carry(flow_id, rate)
         placements.append((lp.id, rate))
     return placements
 
@@ -438,9 +477,8 @@ def _place_chain(state: NetworkState, flow: FlowRecord, chain, undo) -> None:
                 lp = state.lightpaths[e.lp_id]
                 if lp.residual < flow.rate_gbps:
                     raise NoSpectrum("stale grooming edge")
-                entry = (flow.flow_id, flow.rate_gbps)
-                lp.carried.append(entry)
-                local.append(lambda lp=lp, entry=entry: lp.carried.remove(entry))
+                lp.carry(flow.flow_id, flow.rate_gbps)
+                local.append(partial(lp.release, flow.flow_id, flow.rate_gbps))
                 placements.append((lp.id, flow.rate_gbps))
             else:
                 placements.extend(
@@ -470,9 +508,7 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo) -> bool
     chain = _aux_shortest_path(groom_edges, flow.src, flow.dst)
     if not chain or len(chain) > cfg.groom_chain_hops:
         return False
-    chain_km = sum(
-        state.topology.path_length_km(state.lightpaths[e.lp_id].route) for e in chain
-    )
+    chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
     direct = state.paths(flow.src, flow.dst)
     if not direct:
         return False
@@ -619,6 +655,7 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
                 l1.segments + l2.segments,
                 l1.b2b_regen_nodes + (b,) + l2.b2b_regen_nodes,
                 list(l1.carried),
+                length_km=state.topology.path_length_km(merged_route),
             )
             del state.lightpaths[l1.id]
             del state.lightpaths[l2.id]
@@ -644,7 +681,7 @@ def _unplace_demand(state: NetworkState, demand: Demand) -> None:
         for lp_id, rate in flow.placements:
             lp = state.lightpaths.get(lp_id)
             if lp is not None:
-                lp.carried.remove((flow.flow_id, rate))
+                lp.release(flow.flow_id, rate)
                 touched.add(lp_id)
         flow.placements = []
     for lp_id in touched:

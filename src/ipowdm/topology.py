@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -51,6 +52,10 @@ class Link:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError(f"self-loop on node {self.a!r}")
+        if not math.isfinite(self.length_km):
+            raise TopologyError(
+                f"non-finite length on link ({self.a!r},{self.b!r}): {self.length_km}"
+            )
         if self.length_km <= 0:
             raise TopologyError(
                 f"non-positive length on link ({self.a!r},{self.b!r}): {self.length_km}"
@@ -67,17 +72,24 @@ class Link:
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated, immutable physical topology. Safe to share across runs."""
+    """Validated, immutable physical topology. Safe to share across runs.
+
+    ``k_shortest_paths`` memoizes its results on the instance, so every run
+    planned on the same object shares the candidate paths.
+    """
 
     name: str
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
     grid: ChannelGrid = ChannelGrid()
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
+    _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes))
         object.__setattr__(self, "nodes", nodes)
+        if not nodes:
+            raise TopologyError("field 'nodes' is empty")
         if len(set(nodes)) != len(nodes):
             raise TopologyError("duplicate node identifiers")
         seen = set()
@@ -95,17 +107,16 @@ class Topology:
             if not adj[n]:
                 raise TopologyError(f"node {n!r} has degree 0")
         # connectivity
-        if nodes:
-            reached = {nodes[0]}
-            stack = [nodes[0]]
-            while stack:
-                for nbr in adj[stack.pop()]:
-                    if nbr not in reached:
-                        reached.add(nbr)
-                        stack.append(nbr)
-            if len(reached) != len(nodes):
-                missing = sorted(set(nodes) - reached)
-                raise TopologyError(f"graph is disconnected; unreachable: {missing}")
+        reached = {nodes[0]}
+        stack = [nodes[0]]
+        while stack:
+            for nbr in adj[stack.pop()]:
+                if nbr not in reached:
+                    reached.add(nbr)
+                    stack.append(nbr)
+        if len(reached) != len(nodes):
+            missing = sorted(set(nodes) - reached)
+            raise TopologyError(f"graph is disconnected; unreachable: {missing}")
         object.__setattr__(self, "_adj", adj)
 
     def neighbors(self, node: str) -> dict[str, float]:
@@ -129,9 +140,16 @@ class Topology:
 
     def path_length_km(self, path: list[str] | tuple[str, ...]) -> float:
         """Sum of link lengths along a node sequence; single-node path is 0."""
+        adj = self._adj
         total = 0.0
-        for u, v in zip(path, path[1:]):
-            total += self.link_length(u, v)
+        if len(path) > 1:
+            u = path[0]
+            try:
+                for v in path[1:]:
+                    total += adj[u][v]
+                    u = v
+            except KeyError:
+                self.link_length(u, v)  # raises TopologyError naming the pair
         return total
 
     def path_link_lengths(self, path) -> list[float]:
@@ -237,17 +255,28 @@ def shortest_path(topo: Topology, src: str, dst: str):
 
 
 def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[str]]:
-    """Up to k loop-free paths, ascending (length, lexicographic) via Yen's algorithm."""
+    """Up to k loop-free paths, ascending (length, lexicographic) via Yen's algorithm.
+
+    Results are memoized on ``topo`` per (src, dst, k); each call returns
+    fresh lists.
+    """
     if src not in topo._adj or dst not in topo._adj:
         raise TopologyError(f"unknown node in pair ({src!r},{dst!r})")
     if src == dst:
         raise TopologyError("source and destination must differ")
     if k < 1:
         raise TopologyError(f"k must be >= 1, got {k}")
+    key = (src, dst, k)
+    paths = topo._ksp_memo.get(key)
+    if paths is None:
+        paths = topo._ksp_memo[key] = _yen(topo, src, dst, k)
+    return [list(p) for p in paths]
 
+
+def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
     first = _dijkstra(topo, src, dst, set(), set())
     if first is None:
-        return []
+        return ()
     accepted = [first]
     candidates: list[tuple[float, tuple[str, ...]]] = []
     seen = {tuple(first[1])}
@@ -274,4 +303,4 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[st
             break
         length, path = heapq.heappop(candidates)
         accepted.append((length, list(path)))
-    return [p for _, p in accepted]
+    return tuple(tuple(p) for _, p in accepted)

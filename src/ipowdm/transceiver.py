@@ -14,6 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
+class CatalogError(ValueError):
+    """A catalog mode is invalid; the message names the field."""
+
+
 class NoFeasibleMode(Exception):
     """No catalog mode can serve the requested distance/rate."""
 
@@ -36,6 +40,14 @@ class TransceiverMode:
     rate_gbps: int
     power_units: float
     cost_units: float
+
+    def __post_init__(self):
+        for name in ("reach_km", "rate_gbps"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise CatalogError(
+                    f"{name} must be > 0, got {value!r} ({self.module}/{self.modulation})"
+                )
 
     @property
     def key(self) -> tuple:
@@ -150,8 +162,6 @@ def _usable_modes(distance_km, catalog, link_lengths):
                 continue
             regens = plan_regeneration(link_lengths, m).regen_count
         else:
-            if m.reach_km <= 0:
-                continue
             regens = min_regen_count(distance_km, m)
         out.append((m, regens))
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -15,7 +16,7 @@ from ipowdm.rmsa import (
     provision_all,
     route_demand,
 )
-from ipowdm.topology import load_named_topology
+from ipowdm.topology import ChannelGrid, load_named_topology
 from ipowdm.traffic import Demand, TrafficMatrix, generate_traffic, load_scenario
 
 LINE_SHORT = [("a", "b", 100), ("b", "c", 100)]
@@ -284,6 +285,10 @@ GOLDEN_STATE_DIGESTS = {
 }
 
 
+def state_digest(state) -> str:
+    return hashlib.sha256(json.dumps(state.to_dict(), sort_keys=True).encode()).hexdigest()
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("case", sorted(GOLDEN_STATE_DIGESTS), ids="/".join)
     def test_golden_state_digest(self, case):
@@ -293,9 +298,18 @@ class TestDeterminism:
             m = generate_traffic(topo, load_scenario("TS1"), 0)
         else:
             topo, m = toy_instance(int(instance[3:]))
-        doc = provision_all(topo, m, arch).to_dict()
-        digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
-        assert digest == GOLDEN_STATE_DIGESTS[case]
+        assert state_digest(provision_all(topo, m, arch)) == GOLDEN_STATE_DIGESTS[case]
+
+    def test_golden_state_digest_on_warm_topology(self):
+        # every plan after the first reuses the paths memoized on the topology
+        topo = load_named_topology("j14")
+        m = generate_traffic(topo, load_scenario("TS1"), 0)
+        for _ in range(2):
+            for arch in ARCH_NAMES:
+                assert state_digest(provision_all(topo, m, arch)) == GOLDEN_STATE_DIGESTS[
+                    ("j14", arch)
+                ]
+        assert topo._ksp_memo
 
     def test_identical_runs_identical_states(self):
         for seed in (0, 3):
@@ -339,3 +353,17 @@ def test_provisioning_invariants(seed, arch):
                 assert (f.flow_id, rate) in lp.carried
                 if arch != "TrZR":
                     assert rate == f.rate_gbps
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+def test_audit_holds_under_blocking_and_undo(seed, channels):
+    # one or two channels make many demands block, which runs the chain
+    # rollback in _place_chain, the revert of _create_lightpath and
+    # _unplace_demand; audit() then checks the bookkeeping they restore
+    topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
+    topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
+    for arch in ARCH_NAMES:
+        state = provision_all(topo, m, arch)
+        state.audit()
+        assert len(state.records) + len(state.blocked) == len(m.demands)

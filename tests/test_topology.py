@@ -76,6 +76,17 @@ class TestValidation:
         with pytest.raises(TopologyError, match="link #0"):
             parse_topology(doc)
 
+    @pytest.mark.parametrize("length", ["NaN", "inf"])
+    def test_non_finite_length_rejected(self, length):
+        doc = {"name": "t", "nodes": ["a", "b"],
+               "links": [{"a": "a", "b": "b", "length_km": float(length)}]}
+        with pytest.raises(TopologyError, match=r"non-finite length on link \('a','b'\)"):
+            parse_topology(doc)
+
+    def test_empty_node_list_rejected(self):
+        with pytest.raises(TopologyError, match="'nodes' is empty"):
+            parse_topology({"name": "t", "nodes": [], "links": []})
+
 
 class TestAccessors:
     def test_degree_and_neighbors(self):
@@ -148,6 +159,29 @@ class TestShortestPaths:
         )
         paths = k_shortest_paths(square, "a", "d", 2)
         assert paths == [["a", "b", "d"], ["a", "c", "d"]]
+
+    def test_memo_returns_equal_fresh_lists(self):
+        topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1), ("a", "c", 3)])
+        first = k_shortest_paths(topo, "a", "c", 2)
+        first[0].append("z")
+        first.append(["a", "z"])
+        assert k_shortest_paths(topo, "a", "c", 2) == [["a", "b", "c"], ["a", "c"]]
+        assert k_shortest_paths(topo, "a", "c", 2) == k_shortest_paths(topo, "a", "c", 2)
+
+    def test_bad_arguments_rejected_on_warm_topology(self):
+        topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1)])
+        k_shortest_paths(topo, "a", "c", 1)
+        for src, dst, k in (("a", "a", 1), ("a", "z", 1), ("a", "c", 0)):
+            with pytest.raises(TopologyError):
+                k_shortest_paths(topo, src, dst, k)
+
+    def test_memo_does_not_change_equality_or_hash(self):
+        warm = parse_topology(TRIANGLE.to_json())
+        k_shortest_paths(warm, "A", "C", 3)
+        fresh = parse_topology(TRIANGLE.to_json())
+        assert warm == fresh
+        assert hash(warm) == hash(fresh)
+        assert repr(warm) == repr(fresh)
 
     @settings(deadline=None, max_examples=40)
     @given(st.integers(0, 10_000))

@@ -12,6 +12,7 @@ from ipowdm.oracle import (
 from ipowdm.transceiver import (
     DEFAULT_CATALOG,
     MAX_REACH_KM,
+    CatalogError,
     LinkExceedsReach,
     NoFeasibleMode,
     TransceiverMode,
@@ -47,6 +48,26 @@ class TestCatalog:
             resources.files("ipowdm.data").joinpath("modes.json")
         ) as path:
             assert load_catalog(path) == DEFAULT_CATALOG
+
+    @pytest.mark.parametrize("field", ["rate_gbps", "reach_km"])
+    @pytest.mark.parametrize("value", [0, -100, math.nan])
+    def test_non_positive_rate_or_reach_rejected(self, field, value):
+        row = {"module": "ZR", "modulation": "16QAM", "reach_km": 120,
+               "rate_gbps": 400, "power_units": 1.0, "cost_units": 1.0}
+        row[field] = value
+        with pytest.raises(CatalogError, match=field):
+            TransceiverMode(**row)
+
+    def test_load_catalog_rejects_zero_rate(self, tmp_path):
+        # a zero-rate mode used to reach select_modes_min_channels and
+        # divide by zero there
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps({"modes": [
+            {"module": "ZR", "modulation": "16QAM", "reach_km": 120,
+             "rate_gbps": 0, "power_units": 1.0, "cost_units": 1.0},
+        ]}))
+        with pytest.raises(CatalogError, match="rate_gbps must be > 0"):
+            load_catalog(path)
 
 
 class TestModeSelection:
