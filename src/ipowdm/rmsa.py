@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import pairwise
 from heapq import heappush, heappop
 
 from .topology import Topology, k_shortest_paths
@@ -189,49 +190,43 @@ class NetworkState:
     def audit(self) -> None:
         """Check the bookkeeping the engine relies on; raises AssertionError.
 
-        Occupancy equals the union of segment claims, without clashes;
-        lightpath ids ascend in dict order; stored residuals and lengths match
-        carried flows and routes; flow placements and lightpath carried
-        entries agree both ways.
+        Stored occupancy equals the segment claims, without clashes; stored
+        residuals match carried flows; flow placements and lightpath carried
+        entries match one for one.
         """
-        occ: dict[tuple[str, str], set[int]] = {f: set() for f in self.occupancy}
-        claims = 0
-        placements = {
-            flow.flow_id: flow.placements for flows in self.records.values() for flow in flows
-        }
-        path_length_km = self.topology.path_length_km
-        prev_id = 0
+        unclaimed = {fiber: set(chans) for fiber, chans in self.occupancy.items()}
+        unplaced: dict[int, list[tuple[str, int]]] = {}
         for lp_id, lp in self.lightpaths.items():
-            if lp_id != lp.id or lp_id <= prev_id:
-                raise AssertionError(f"lightpath {lp_id} out of id order after {prev_id}")
-            prev_id = lp_id
             for seg in lp.segments:
-                nodes = seg.nodes
-                if len(nodes) == 2:  # one fiber, the common case: skip the zip
-                    occ[nodes].add(seg.channel)
-                    claims += 1
-                    continue
-                claims += len(nodes) - 1
-                for fiber in zip(nodes, nodes[1:]):
-                    occ[fiber].add(seg.channel)
+                for fiber in pairwise(seg.nodes):
+                    try:
+                        unclaimed[fiber].remove(seg.channel)
+                    except KeyError:
+                        stored = seg.channel in self.occupancy.get(fiber, ())
+                        raise AssertionError(
+                            f"{'channel clash' if stored else 'unstored claim'} on fiber "
+                            f"{fiber} channel {seg.channel}"
+                        ) from None
             used = 0
-            for flow_id, rate in lp.carried:
+            for _, rate in lp.carried:
                 used += rate
-                if (lp_id, rate) not in placements.get(flow_id, ()):
-                    raise AssertionError(f"lightpath {lp_id} carries unplaced {flow_id} {rate}G")
             if lp.residual != lp.mode.rate_gbps - used or lp.residual < 0:
                 raise AssertionError(f"lightpath {lp_id}: residual {lp.residual}, {used}G carried")
-            if lp.length_km != path_length_km(lp.route):
-                raise AssertionError(f"lightpath {lp_id}: length {lp.length_km} diverges from route")
-        if claims != sum(map(len, occ.values())):
-            raise AssertionError("channel clash: two segments claim one channel on a fiber")
-        if occ != self.occupancy:
+            unplaced[lp_id] = list(lp.carried)
+        if any(unclaimed.values()):
             raise AssertionError("stored occupancy diverges from lightpath claims")
-        for flow_id, placed in placements.items():
-            for lp_id, rate in placed:
-                lp = self.lightpaths.get(lp_id)
-                if lp is None or (flow_id, rate) not in lp.carried:
-                    raise AssertionError(f"{flow_id} placed {rate}G on {lp_id}, not carried")
+        for flows in self.records.values():
+            for flow in flows:
+                for lp_id, rate in flow.placements:
+                    try:
+                        unplaced[lp_id].remove((flow.flow_id, rate))
+                    except (KeyError, ValueError):
+                        raise AssertionError(
+                            f"{flow.flow_id} placed {rate}G on {lp_id}, not carried"
+                        ) from None
+        for lp_id, entries in unplaced.items():
+            if entries:
+                raise AssertionError(f"lightpath {lp_id} carries unplaced {entries}")
 
     def to_dict(self) -> dict:
         return {
@@ -295,7 +290,7 @@ def build_auxiliary_graph(
     def add(edge: AuxEdge):
         edges.setdefault((edge.u, edge.v), []).append(edge)
 
-    for lp in state.lightpaths.values():  # ids only grow: dict order is id order
+    for lp in state.lightpaths.values():  # order is free: alternatives sort by sort_key
         if lp.residual < demand.rate_gbps:
             continue
         if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):

@@ -140,16 +140,9 @@ class Topology:
 
     def path_length_km(self, path: list[str] | tuple[str, ...]) -> float:
         """Sum of link lengths along a node sequence; single-node path is 0."""
-        adj = self._adj
         total = 0.0
-        if len(path) > 1:
-            u = path[0]
-            try:
-                for v in path[1:]:
-                    total += adj[u][v]
-                    u = v
-            except KeyError:
-                self.link_length(u, v)  # raises TopologyError naming the pair
+        for u, v in zip(path, path[1:]):
+            total += self.link_length(u, v)
         return total
 
     def path_link_lengths(self, path) -> list[float]:

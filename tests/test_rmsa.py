@@ -168,6 +168,8 @@ class TestPureRegenMerge:
         assert len(lp.segments) == 3
         assert st.records[("a", "d")][0].placements == [(lp.id, 200)]
         assert lp.id == 5  # three routed lightpaths, then two merges
+        # the merged length is the route's, not the sum of the parts
+        assert lp.length_km == st.topology.path_length_km(lp.route)
 
     def test_grooming_node_is_not_merged(self):
         # b terminates two lightpaths but they carry different flow sets, so
@@ -252,6 +254,24 @@ class TestBlockingAndAtomicity:
         with pytest.raises(ValueError, match="already provisioned"):
             route_demand(state, Demand("a", "c", 100))
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda s: setattr(s.lightpaths[2].segments[0], "channel", 0),
+         r"channel clash on fiber \('a', 'b'\) channel 0"),
+        (lambda s: s.occupancy[("b", "c")].add(5), "stored occupancy diverges"),
+        (lambda s: s.occupancy[("a", "b")].discard(0),
+         r"unstored claim on fiber \('a', 'b'\) channel 0"),
+        (lambda s: setattr(s.lightpaths[1], "residual", 100), "lightpath 1: residual 100"),
+        (lambda s: s.records[("a", "b")][0].placements.clear(), "lightpath 1 carries unplaced"),
+        (lambda s: s.records[("a", "c")][0].placements.append((9, 400)),
+         "a->c#0 placed 400G on 9, not carried"),
+    ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements"])
+    def test_audit_names_broken_bookkeeping(self, corrupt, message):
+        st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400))
+        st.audit()
+        corrupt(st)
+        with pytest.raises(AssertionError, match=message):
+            st.audit()
+
     def test_unreachable_rate_blocks_with_mode_reason(self):
         st = provision([("a", "b", 3200)], "TrZR", Demand("a", "b", 400))
         assert [(d.rate_gbps, r) for d, r in st.blocked] == [
@@ -334,6 +354,8 @@ def test_provisioning_invariants(seed, arch):
         # transparent segments never exceed the mode reach
         for seg in lp.segments:
             assert topo.path_length_km(seg.nodes) <= lp.mode.reach_km
+        # the stored length is set once from the route
+        assert lp.length_km == topo.path_length_km(lp.route)
         # capacity is never oversubscribed
         assert lp.residual >= 0
         assert lp.carried
@@ -367,3 +389,5 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
         state = provision_all(topo, m, arch)
         state.audit()
         assert len(state.records) + len(state.blocked) == len(m.demands)
+        for lp in state.lightpaths.values():
+            assert lp.length_km == topo.path_length_km(lp.route)
