@@ -41,29 +41,30 @@ from .topology import load_named_topology
 from .traffic import generate_traffic, load_scenario
 from .transceiver import DEFAULT_CATALOG, load_catalog
 
-def _common_flags(p: argparse.ArgumentParser, multi=False):
+def _input_flags(p: argparse.ArgumentParser, multi=False):
     action = "append" if multi else "store"
     p.add_argument("--topology", action=action, required=True,
                    help="builtin name (j14/g17) or topology JSON file")
     p.add_argument("--scenario", action=action, default=None,
                    help="builtin name (TS1/TS2/TS3) or scenario JSON file")
+
+
+def _planning_flags(p: argparse.ArgumentParser, multi=False):
+    _input_flags(p, multi)
     p.add_argument("--k", type=int, default=3, help="candidate paths per pair")
     p.add_argument("--modes", default=None, help="transceiver catalog JSON file")
     p.add_argument("--power-config", default=None,
                    help="JSON with power table / dimensioning overrides")
 
 
-def _planner(args) -> PlannerConfig:
-    return PlannerConfig(k=args.k)
-
 def _power(args):
-    if getattr(args, "power_config", None):
+    if args.power_config:
         return load_power_config(args.power_config)
     return PowerTable(), DimensioningConfig()
 
 
 def _catalog(args):
-    return load_catalog(args.modes) if getattr(args, "modes", None) else DEFAULT_CATALOG
+    return load_catalog(args.modes) if args.modes else DEFAULT_CATALOG
 
 
 def _write(path_or_none, name, text, out_dir=None):
@@ -87,14 +88,18 @@ def cmd_gen_traffic(args) -> int:
     return 0
 
 
-def cmd_plan(args) -> int:
+def _run_one(args):
+    """Plan the one run that ``plan`` and ``power`` report on."""
     topo = load_named_topology(args.topology)
     scenario = load_scenario(args.scenario or "TS1")
     pt, dc = _power(args)
-    row, state = run_single(
-        topo, args.arch, scenario, args.seed,
-        _planner(args), pt, dc, _catalog(args), strict=args.strict,
-    )
+    row, state = run_single(topo, args.arch, scenario, args.seed, PlannerConfig(k=args.k),
+                            pt, dc, _catalog(args), strict=args.strict)
+    return row, state, pt, dc
+
+
+def cmd_plan(args) -> int:
+    row, state, _, _ = _run_one(args)
     doc = state.to_dict()
     doc["summary"] = {
         "zr_count": row.zr_count, "zrplus_count": row.zrplus_count,
@@ -103,7 +108,7 @@ def cmd_plan(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        _write(None, f"plan_{topo.name}_{args.arch}_{scenario.name}_{args.seed}.json",
+        _write(None, f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json",
                text, out_dir=args.out)
     else:
         sys.stdout.write(text)
@@ -111,13 +116,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_power(args) -> int:
-    topo = load_named_topology(args.topology)
-    scenario = load_scenario(args.scenario or "TS1")
-    pt, dc = _power(args)
-    row, state = run_single(
-        topo, args.arch, scenario, args.seed,
-        _planner(args), pt, dc, _catalog(args), strict=args.strict,
-    )
+    _, state, pt, dc = _run_one(args)
     per_node, total = network_power(state, pt, dc)
     if args.format == "json":
         doc = {
@@ -153,7 +152,7 @@ def cmd_experiment(args) -> int:
         archs=archs,
         scenarios=scenarios,
         seeds=[args.seed + i for i in range(args.runs)],
-        planner=_planner(args),
+        planner=PlannerConfig(k=args.k),
         power=pt,
         dimensioning=dc,
         catalog=_catalog(args),
@@ -188,13 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-traffic", help="emit a traffic matrix as CSV")
-    _common_flags(p)
+    _input_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_traffic)
 
     p = sub.add_parser("plan", help="provision one run and dump the lightpaths")
-    _common_flags(p)
+    _planning_flags(p)
     p.add_argument("--arch", choices=ARCH_NAMES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output directory")
@@ -202,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("power", help="per-node and total power for one run")
-    _common_flags(p)
+    _planning_flags(p)
     p.add_argument("--arch", choices=ARCH_NAMES, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("experiment", help="full batch study with averages")
-    _common_flags(p, multi=True)
+    _planning_flags(p, multi=True)
     p.add_argument("--arch", action="append", choices=ARCH_NAMES, default=None)
     p.add_argument("--seed", type=int, default=0, help="first seed")
     p.add_argument("--runs", type=int, default=10, help="seeds per cell")
@@ -232,7 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"ipowdm: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

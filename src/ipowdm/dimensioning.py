@@ -61,11 +61,29 @@ class DimensioningConfig:
     monitoring_slots: int = 1
 
 
+def _config_section(doc: dict, name: str, cls):
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"power config section {name!r} must be a JSON object")
+    known = {f.name for f in fields(cls)}
+    for key in section:
+        if key not in known:
+            raise ValueError(f"power config section {name!r}: unknown key {key!r}")
+    return cls(**section)
+
+
 def load_power_config(path: str | Path) -> tuple[PowerTable, DimensioningConfig]:
+    """Read ``{"power": {...}, "dimensioning": {...}}``; unknown entries raise ValueError."""
     doc = json.loads(Path(path).read_text())
-    pt = PowerTable(**doc.get("power", {}))
-    dc = DimensioningConfig(**doc.get("dimensioning", {}))
-    return pt, dc
+    if not isinstance(doc, dict):
+        raise ValueError("power config must be a JSON object")
+    for name in doc:
+        if name not in ("power", "dimensioning"):
+            raise ValueError(f"power config: unknown section {name!r}")
+    return (
+        _config_section(doc, "power", PowerTable),
+        _config_section(doc, "dimensioning", DimensioningConfig),
+    )
 
 
 @dataclass

@@ -40,6 +40,19 @@ from .traffic import Demand, TrafficMatrix
 
 ARCH_NAMES = ("OpIP", "TrIP", "TrZR", "TrIPandZR")
 
+GROOMING_WEIGHT_FACTOR = 0.01
+MAX_RETRIES = 30
+# Bypass-with-IP-grooming architectures ride existing lightpath chains
+# only when the chain is short and detour-free; otherwise they open a
+# fresh transparent path. See _route_flow.
+GROOM_CHAIN_HOPS = 2
+GROOM_MAX_FLOWS_PER_LP = 2
+GROOM_MIN_RATE = 150
+# Hop-by-hop (no optical bypass) lightpaths cost modules per fiber hop,
+# not per kilometre, so a new-lightpath edge carries this dominant per-hop
+# weight; route length only breaks ties between equal-hop routes.
+OPAQUE_HOP_WEIGHT = 10000.0
+
 
 @dataclass(frozen=True)
 class ArchitectureConfig:
@@ -61,46 +74,10 @@ ARCHITECTURES: dict[str, ArchitectureConfig] = {
 @dataclass(frozen=True)
 class PlannerConfig:
     k: int = 3
-    grooming_weight_factor: float = 0.01
-    demand_order: str = "rate_desc"  # or "input_order"
-    max_retries: int = 30
-    # Bypass-with-IP-grooming architectures ride existing lightpath chains
-    # only when the chain is short and detour-free; otherwise they open a
-    # fresh transparent path. See _route_flow.
-    groom_chain_hops: int = 2
-    groom_detour_factor: float = 1.0
-    groom_max_flows_per_lp: int = 2
-    groom_min_rate: int = 150
-    # Hop-by-hop (no optical bypass) lightpaths cost modules per fiber hop,
-    # not per kilometre, so a new-lightpath edge carries this dominant per-hop
-    # weight; route length only breaks ties between equal-hop routes.
-    opaque_hop_weight: float = 10000.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (0 < self.grooming_weight_factor <= 1):
-            raise ValueError(
-                f"grooming_weight_factor must be in (0, 1], got {self.grooming_weight_factor}"
-            )
-        if self.demand_order not in ("rate_desc", "input_order"):
-            raise ValueError(f"unknown demand_order {self.demand_order!r}")
-        if self.groom_chain_hops < 0:
-            raise ValueError(f"groom_chain_hops must be >= 0, got {self.groom_chain_hops}")
-        if self.groom_detour_factor < 1.0:
-            raise ValueError(
-                f"groom_detour_factor must be >= 1.0, got {self.groom_detour_factor}"
-            )
-        if self.groom_max_flows_per_lp < 1:
-            raise ValueError(
-                f"groom_max_flows_per_lp must be >= 1, got {self.groom_max_flows_per_lp}"
-            )
-        if self.groom_min_rate < 0:
-            raise ValueError(f"groom_min_rate must be >= 0, got {self.groom_min_rate}")
-        if self.opaque_hop_weight <= 0:
-            raise ValueError(
-                f"opaque_hop_weight must be > 0, got {self.opaque_hop_weight}"
-            )
 
 
 class BlockedError(Exception):
@@ -283,7 +260,6 @@ def build_auxiliary_graph(
     """Edges keyed by (u, v); each key holds alternatives best-first."""
     topo = state.topology
     arch = state.arch
-    factor = state.cfg.grooming_weight_factor
     penalty = state._new_lp_penalty
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
 
@@ -295,14 +271,15 @@ def build_auxiliary_graph(
             continue
         if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
             continue
-        if arch.intermediate_ip_grooming and len(lp.carried) >= state.cfg.groom_max_flows_per_lp:
+        if arch.intermediate_ip_grooming and len(lp.carried) >= GROOM_MAX_FLOWS_PER_LP:
             continue
-        add(AuxEdge(lp.route[0], lp.route[-1], factor * lp.length_km, _GROOM, lp_id=lp.id))
+        add(AuxEdge(lp.route[0], lp.route[-1], GROOMING_WEIGHT_FACTOR * lp.length_km,
+                    _GROOM, lp_id=lp.id))
 
     if not arch.optical_bypass:
         for u, v in topo.directed_fibers():
             length = topo.link_length(u, v)
-            add(AuxEdge(u, v, state.cfg.opaque_hop_weight + length, _NEW, subpath=(u, v)))
+            add(AuxEdge(u, v, OPAQUE_HOP_WEIGHT + length, _NEW, subpath=(u, v)))
     elif not arch.intermediate_ip_grooming:
         # end-to-end only: candidate edges are whole source-destination paths
         for path in state.paths(demand.src, demand.dst):
@@ -491,23 +468,22 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo) -> bool
     """Ride existing lightpaths end to end if a short, detour-free chain exists.
 
     Bypass architectures with IP grooming reuse residual capacity along a
-    shortest chain of at most ``groom_chain_hops`` lightpaths, searched over
+    shortest chain of at most ``GROOM_CHAIN_HOPS`` lightpaths, searched over
     the node pairs whose best edge grooms. The chain may open no new
-    lightpath and must not be longer than ``groom_detour_factor`` times the
-    shortest physical route; otherwise the flow opens a fresh transparent
-    path instead, because half-groomed detours fragment capacity into short,
-    poorly reusable lightpaths.
+    lightpath and must not be longer than the shortest physical route;
+    otherwise the flow opens a fresh transparent path instead, because
+    half-groomed detours fragment capacity into short, poorly reusable
+    lightpaths.
     """
-    cfg = state.cfg
     groom_edges = {key: alts for key, alts in edges.items() if alts[0].kind == _GROOM}
     chain = _aux_shortest_path(groom_edges, flow.src, flow.dst)
-    if not chain or len(chain) > cfg.groom_chain_hops:
+    if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return False
     chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
     direct = state.paths(flow.src, flow.dst)
     if not direct:
         return False
-    if chain_km > cfg.groom_detour_factor * state.topology.path_length_km(direct[0]):
+    if chain_km > state.topology.path_length_km(direct[0]):
         return False
     # every edge grooms a lightpath whose residual was checked when the
     # graph was built, so placing the chain cannot fail
@@ -525,7 +501,7 @@ def _route_flow(state: NetworkState, flow: FlowRecord, undo):
                  ((key, [e for e in alts if e.kind == _NEW]) for key, alts in edges.items())
                  if alts}
     spectrum_failed = False
-    for _ in range(state.cfg.max_retries):
+    for _ in range(MAX_RETRIES):
         path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
         if path_edges is None:
             reason = "no_spectrum" if spectrum_failed else "no_feasible_mode"
@@ -583,7 +559,7 @@ def route_demand(
     """Provision one demand atomically; raises BlockedError with state unchanged.
 
     When ``deferred`` is given and the architecture grooms at intermediate
-    routers, sub-flows below ``groom_min_rate`` are parked there (with empty
+    routers, sub-flows below ``GROOM_MIN_RATE`` are parked there (with empty
     placements) instead of being routed now. Routing them after the whole
     high-rate mesh exists lets them ride residual capacity instead of opening
     dedicated lightpaths; see :func:`provision_all`.
@@ -597,7 +573,7 @@ def route_demand(
         for i, rate in enumerate(_subflow_rates(demand, state)):
             flow = FlowRecord(f"{demand.src}->{demand.dst}#{i}", demand.src, demand.dst, rate)
             flows.append(flow)
-            if defer_small and rate < state.cfg.groom_min_rate:
+            if defer_small and rate < GROOM_MIN_RATE:
                 deferred.append((demand, flow))
                 continue
             _route_flow(state, flow, undo)
@@ -607,12 +583,6 @@ def route_demand(
         raise
     state.records[demand.key] = flows
     return flows
-
-
-def _ordered_demands(matrix: TrafficMatrix, cfg: PlannerConfig):
-    if cfg.demand_order == "input_order":
-        return list(matrix.demands)
-    return sorted(matrix.demands, key=lambda d: (-d.rate_gbps, d.src, d.dst))
 
 
 def merge_pure_ip_regens(state: NetworkState) -> int:
@@ -705,16 +675,15 @@ def provision_all(
     topo: Topology,
     matrix: TrafficMatrix,
     arch: str,
-    cfg: PlannerConfig | None = None,
+    cfg: PlannerConfig = PlannerConfig(),
     catalog=DEFAULT_CATALOG,
 ) -> NetworkState:
     """Provision the full matrix; blocking is recorded, never fatal."""
-    cfg = cfg or PlannerConfig()
     state = NetworkState(topo, arch, cfg, catalog)
     # Stage 1: high-rate flows build the lightpath mesh; grooming-capable
-    # architectures park flows below groom_min_rate for stage 2.
+    # architectures park flows below GROOM_MIN_RATE for stage 2.
     deferred: list[tuple[Demand, FlowRecord]] = []
-    for demand in _ordered_demands(matrix, cfg):
+    for demand in sorted(matrix.demands, key=lambda d: (-d.rate_gbps, d.src, d.dst)):
         try:
             route_demand(state, demand, deferred)
         except BlockedError as exc:

@@ -35,6 +35,10 @@ class ChannelGrid:
     spacing_ghz: int = 100
 
     def __post_init__(self):
+        for name in ("channel_count", "spacing_ghz"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TopologyError(f"{name} must be an integer, got {value!r}")
         if self.channel_count < 1:
             raise TopologyError(f"channel_count must be >= 1, got {self.channel_count}")
         if self.spacing_ghz <= 0:
@@ -182,6 +186,8 @@ def parse_topology(source: str | dict) -> Topology:
         if key not in doc:
             raise TopologyError(f"missing required field {key!r}")
     grid_doc = doc.get("grid", {})
+    if not isinstance(grid_doc, dict):
+        raise TopologyError("field 'grid' must be a JSON object")
     grid = ChannelGrid(
         channel_count=grid_doc.get("channel_count", 50),
         spacing_ghz=grid_doc.get("spacing_ghz", 100),

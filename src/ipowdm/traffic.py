@@ -8,6 +8,7 @@ are visited in lexicographic order, so a matrix is a pure function of
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
@@ -70,9 +71,9 @@ class TrafficMatrix:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("src,dst,rate_gbps\n")
-        for d in self.demands:
-            buf.write(f"{d.src},{d.dst},{d.rate_gbps}\n")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("src", "dst", "rate_gbps"))
+        writer.writerows((d.src, d.dst, d.rate_gbps) for d in self.demands)
         return buf.getvalue()
 
 

@@ -49,6 +49,23 @@ class TestPowerTable:
         assert pt.zr_plus == PowerTable().zr_plus  # untouched default
         assert dc.adb_capacity == 16
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"power": {"zrr": 1}}, "section 'power': unknown key 'zrr'"),
+            ({"dimensioning": {"adb": 1}}, "section 'dimensioning': unknown key 'adb'"),
+            ({"power": [1]}, "section 'power' must be a JSON object"),
+            ({"powr": {}}, "unknown section 'powr'"),
+            ([], "must be a JSON object"),
+        ],
+        ids=["power-key", "dimensioning-key", "section-type", "section-name", "document-type"],
+    )
+    def test_config_file_unknown_entry_named(self, tmp_path, doc, message):
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_power_config(path)
+
 
 class TestNodeDimensioning:
     def test_transparent_node_counts(self):

@@ -172,6 +172,20 @@ class TestCli:
         assert len(rows) == 4 * 2
         assert {r.arch for r in rows} == {"OpIP", "TrIP", "TrZR", "TrIPandZR"}
 
+    def test_missing_modes_file_is_one_line_error(self, toy_path, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        rc = main(["plan", "--topology", toy_path, "--arch", "TrIP", "--modes", str(missing)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ipowdm: error: ") and str(missing) in err
+        assert len(err.splitlines()) == 1
+
+    def test_gen_traffic_rejects_planning_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-traffic", "--topology", "j14", "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
     def test_compare_subcommand(self, toy_path, tmp_path, capsys):
         out = tmp_path / "runs"
         main(

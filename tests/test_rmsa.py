@@ -31,9 +31,9 @@ def matrix(*demands):
     return TrafficMatrix("fixed", 0, tuple(demands))
 
 
-def provision(links, arch, *demands, channels=10, cfg=None):
+def provision(links, arch, *demands, channels=10):
     topo = mk_topo("t", links, channels=channels)
-    return provision_all(topo, matrix(*demands), arch, cfg)
+    return provision_all(topo, matrix(*demands), arch)
 
 
 class TestConfigValidation:
@@ -41,14 +41,6 @@ class TestConfigValidation:
         "kwargs",
         [
             {"k": 0},
-            {"grooming_weight_factor": 0.0},
-            {"grooming_weight_factor": 1.5},
-            {"demand_order": "alphabetical"},
-            {"groom_chain_hops": -1},
-            {"groom_detour_factor": 0.9},
-            {"groom_max_flows_per_lp": 0},
-            {"groom_min_rate": -1},
-            {"opaque_hop_weight": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
@@ -212,11 +204,10 @@ class TestGrooming:
         assert len(flow.placements) == 2
 
     def test_flows_per_lightpath_capped(self):
-        cfg = PlannerConfig(groom_max_flows_per_lp=2)
         for seed in range(8):
             topo, m = toy_instance(seed)
             for arch in GROOMING_ARCHS:
-                state = provision_all(topo, m, arch, cfg)
+                state = provision_all(topo, m, arch)
                 assert all(len(lp.carried) <= 2 for lp in state.lightpaths.values())
 
 

@@ -63,6 +63,16 @@ class TestValidation:
         with pytest.raises(TopologyError):
             ChannelGrid(10, 0)
 
+    @pytest.mark.parametrize(
+        "grid", [{"channel_count": "5"}, {"channel_count": 5.0}, {"spacing_ghz": True}]
+    )
+    def test_non_integer_grid_rejected(self, grid):
+        doc = {"name": "t", "nodes": ["a", "b"],
+               "links": [{"a": "a", "b": "b", "length_km": 1}], "grid": grid}
+        (field_name,) = grid
+        with pytest.raises(TopologyError, match=f"{field_name} must be an integer"):
+            parse_topology(doc)
+
     def test_missing_field_rejected(self):
         with pytest.raises(TopologyError, match="missing required field"):
             parse_topology({"name": "t", "nodes": ["a"]})

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from collections import Counter
 
@@ -87,12 +89,15 @@ class TestGeneration:
         assert a != c
 
     def test_csv_layout(self):
-        matrix = generate_traffic(LINE, load_scenario("TS1"), 0)
-        lines = matrix.to_csv().splitlines()
-        assert lines[0] == "src,dst,rate_gbps"
-        assert len(lines) == 1 + len(matrix.demands)
-        src, dst, rate = lines[1].split(",")
-        assert Demand(src, dst, int(rate))
+        comma_named = mk_topo("comma", [("a,1", "b", 100)])
+        for topo in (LINE, comma_named):
+            matrix = generate_traffic(topo, load_scenario("TS1"), 0)
+            text = matrix.to_csv()
+            assert text.splitlines()[0] == "src,dst,rate_gbps"
+            header, *rows = csv.reader(io.StringIO(text))
+            assert len(rows) == len(matrix.demands)
+            for (src, dst, rate), demand in zip(rows, matrix.demands):
+                assert Demand(src, dst, int(rate)) == demand
 
     @pytest.mark.parametrize("name", BUILTIN_SCENARIOS)
     def test_empirical_rate_frequencies_track_weights(self, name):
