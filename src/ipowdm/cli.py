@@ -26,6 +26,7 @@ from .dimensioning import (
     network_power,
 )
 from .experiment import (
+    BlockingError,
     ExperimentConfig,
     average_rows,
     compare,
@@ -233,7 +234,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, BlockingError) as exc:
         print(f"ipowdm: error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,8 +37,11 @@ class PowerTable:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"power entry {f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"power entry {f.name} must be a finite number >= 0, "
+                                 f"got {value!r}")
 
     def scaled(self, c: float) -> "PowerTable":
         return replace(self, **{f.name: getattr(self, f.name) * c for f in fields(self)})
@@ -59,6 +62,14 @@ class DimensioningConfig:
     oa_slots: int = 1
     adb_slots: int = 1
     monitoring_slots: int = 1
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            least = 1 if f.name.endswith("_capacity") else 0
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"dimensioning entry {f.name} must be an int >= {least}, "
+                                 f"got {value!r}")
 
 
 def _config_section(doc: dict, name: str, cls):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import pairwise
 from heapq import heappush, heappop
 
@@ -370,78 +369,80 @@ def assign_spectrum_first_fit(state: NetworkState, segment_nodes) -> int:
     raise NoSpectrum(f"no free channel along {'-'.join(segment_nodes)}")
 
 
-def _create_lightpath(state, route, mode, b2b_nodes, undo):
-    """Claims first-fit spectrum per transparent segment and registers the LP."""
+def _create_lightpath(state, route, mode, b2b_nodes):
+    """Claims first-fit spectrum per transparent segment and registers the LP.
+
+    Channels are picked for every segment before any is claimed (a simple
+    route's segments share no fiber), so NoSpectrum leaves no state behind.
+    """
     node_idx = {n: i for i, n in enumerate(route)}
     cuts = [0] + [node_idx[n] for n in b2b_nodes] + [len(route) - 1]
     segments = []
-    claimed = []
-    try:
-        for a, b in zip(cuts, cuts[1:]):
-            seg_nodes = tuple(route[a:b + 1])
-            ch = assign_spectrum_first_fit(state, seg_nodes)
-            for u, v in zip(seg_nodes, seg_nodes[1:]):
-                state.occupancy[(u, v)].add(ch)
-                claimed.append(((u, v), ch))
-            segments.append(Segment(seg_nodes, ch))
-    except NoSpectrum:
-        for fiber, ch in claimed:
-            state.occupancy[fiber].discard(ch)
-        raise
+    for a, b in zip(cuts, cuts[1:]):
+        seg_nodes = tuple(route[a:b + 1])
+        segments.append(Segment(seg_nodes, assign_spectrum_first_fit(state, seg_nodes)))
+    for seg in segments:
+        for fiber in pairwise(seg.nodes):
+            state.occupancy[fiber].add(seg.channel)
     lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes),
                    length_km=state.topology.path_length_km(route))
     state.lightpaths[lp.id] = lp
-
-    def revert():
-        del state.lightpaths[lp.id]
-        for fiber, ch in claimed:
-            state.occupancy[fiber].discard(ch)
-
-    undo.append(revert)
     return lp
 
 
-def _realize_candidate_edge(state, edge, rate, flow_id, undo):
-    """Open new lightpath(s) for `rate` over edge.subpath; returns placements."""
+def _realize_candidate_edge(state, edge, rate, flow_id, placements):
+    """Open new lightpath(s) for `rate` over edge.subpath, appending to placements."""
     topo = state.topology
     lengths = topo.path_link_lengths(edge.subpath)
-    placements = []
     if not state.arch.ip_regeneration:
         modes = select_modes_min_channels(rate, sum(lengths), state.catalog, lengths)
         remaining = rate
         for m in modes:
             plan = plan_regeneration(lengths, m)
             b2b = tuple(edge.subpath[i] for i in plan.boundaries)
-            lp = _create_lightpath(state, edge.subpath, m, b2b, undo)
+            lp = _create_lightpath(state, edge.subpath, m, b2b)
             amount = min(remaining, m.rate_gbps)
             lp.carry(flow_id, amount)
             remaining -= amount
             placements.append((lp.id, amount))
-        return placements
+        return
 
     mode, plan = _pick_chain_mode(lengths, rate, state.catalog)
     if plan.regen_count == 0:
-        lp = _create_lightpath(state, edge.subpath, mode, (), undo)
+        lp = _create_lightpath(state, edge.subpath, mode, ())
         lp.carry(flow_id, rate)
-        return [(lp.id, rate)]
+        placements.append((lp.id, rate))
+        return
     # IP regeneration: terminate at routers; each segment is its own lightpath
     cuts = [0] + list(plan.boundaries) + [len(edge.subpath) - 1]
     for a, b in zip(cuts, cuts[1:]):
         seg = edge.subpath[a:b + 1]
         seg_mode = _best_segment_mode(topo.path_length_km(seg), rate, state.catalog)
-        lp = _create_lightpath(state, seg, seg_mode, (), undo)
+        lp = _create_lightpath(state, seg, seg_mode, ())
         lp.carry(flow_id, rate)
         placements.append((lp.id, rate))
-    return placements
 
 
-def _place_chain(state: NetworkState, flow: FlowRecord, chain, undo) -> None:
+def _release(state: NetworkState, flow_id: str, placements) -> None:
+    """Return ``flow_id``'s capacity on each placement and tear down the
+    lightpaths left carrying nothing, freeing their spectrum."""
+    for lp_id, rate in placements:
+        lp = state.lightpaths[lp_id]
+        lp.release(flow_id, rate)
+        if lp.carried:
+            continue
+        del state.lightpaths[lp_id]
+        for seg in lp.segments:
+            for fiber in pairwise(seg.nodes):
+                state.occupancy[fiber].discard(seg.channel)
+
+
+def _place_chain(state: NetworkState, flow: FlowRecord, chain) -> None:
     """Carry ``flow`` over every edge of ``chain``, all or nothing.
 
     Raises NoSpectrum or NoFeasibleMode with the state unchanged; on success
-    sets the flow's placements and appends the reverting steps to ``undo``.
+    sets the flow's placements.
     """
-    local: list = []
     placements: list[tuple[int, int]] = []
     try:
         for e in chain:
@@ -450,21 +451,16 @@ def _place_chain(state: NetworkState, flow: FlowRecord, chain, undo) -> None:
                 if lp.residual < flow.rate_gbps:
                     raise NoSpectrum("stale grooming edge")
                 lp.carry(flow.flow_id, flow.rate_gbps)
-                local.append(partial(lp.release, flow.flow_id, flow.rate_gbps))
                 placements.append((lp.id, flow.rate_gbps))
             else:
-                placements.extend(
-                    _realize_candidate_edge(state, e, flow.rate_gbps, flow.flow_id, local)
-                )
+                _realize_candidate_edge(state, e, flow.rate_gbps, flow.flow_id, placements)
     except (NoSpectrum, NoFeasibleMode):
-        for op in reversed(local):
-            op()
+        _release(state, flow.flow_id, placements)
         raise
     flow.placements = placements
-    undo.extend(local)
 
 
-def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo) -> bool:
+def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
     """Ride existing lightpaths end to end if a short, detour-free chain exists.
 
     Bypass architectures with IP grooming reuse residual capacity along a
@@ -487,15 +483,15 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges, undo) -> bool
         return False
     # every edge grooms a lightpath whose residual was checked when the
     # graph was built, so placing the chain cannot fail
-    _place_chain(state, flow, chain, undo)
+    _place_chain(state, flow, chain)
     return True
 
 
-def _route_flow(state: NetworkState, flow: FlowRecord, undo):
+def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     edges = build_auxiliary_graph(state, demand)
     if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
-        if _try_groom_chain(state, flow, edges, undo):
+        if _try_groom_chain(state, flow, edges):
             return
         edges = {k: alts for k, alts in
                  ((key, [e for e in alts if e.kind == _NEW]) for key, alts in edges.items())
@@ -507,22 +503,16 @@ def _route_flow(state: NetworkState, flow: FlowRecord, undo):
             reason = "no_spectrum" if spectrum_failed else "no_feasible_mode"
             raise BlockedError(demand, reason)
         try:
-            _place_chain(state, flow, path_edges, undo)
+            _place_chain(state, flow, path_edges)
             return
         except (NoSpectrum, NoFeasibleMode):
             spectrum_failed = True
-            # drop the first failing-capable edge alternative and retry
-            dropped = False
-            for e in path_edges:
-                alts = edges.get((e.u, e.v), [])
-                if alts and alts[0] is e:
-                    alts.pop(0)
-                    if not alts:
-                        del edges[(e.u, e.v)]
-                    dropped = True
-                    break
-            if not dropped:
-                raise BlockedError(demand, "no_spectrum") from None
+            # the path holds each node pair's first alternative; drop the
+            # first edge's and retry
+            key = (path_edges[0].u, path_edges[0].v)
+            edges[key].pop(0)
+            if not edges[key]:
+                del edges[key]
     raise BlockedError(demand, "no_spectrum")
 
 
@@ -558,6 +548,11 @@ def route_demand(
 ) -> list[FlowRecord]:
     """Provision one demand atomically; raises BlockedError with state unchanged.
 
+    Each sub-flow's placements are the only undo record: a sub-flow that
+    blocks leaves nothing behind, and the sub-flows placed before it are
+    released through :func:`_release`, which tears down the lightpaths they
+    leave empty.
+
     When ``deferred`` is given and the architecture grooms at intermediate
     routers, sub-flows below ``GROOM_MIN_RATE`` are parked there (with empty
     placements) instead of being routed now. Routing them after the whole
@@ -567,7 +562,6 @@ def route_demand(
     if demand.key in state.records:
         raise ValueError(f"demand {demand.key} already provisioned")
     defer_small = deferred is not None and state.arch.intermediate_ip_grooming
-    undo: list = []
     flows = []
     try:
         for i, rate in enumerate(_subflow_rates(demand, state)):
@@ -576,10 +570,10 @@ def route_demand(
             if defer_small and rate < GROOM_MIN_RATE:
                 deferred.append((demand, flow))
                 continue
-            _route_flow(state, flow, undo)
+            _route_flow(state, flow)
     except BlockedError:
-        for op in reversed(undo):
-            op()
+        for flow in flows:
+            _release(state, flow.flow_id, flow.placements)
         raise
     state.records[demand.key] = flows
     return flows
@@ -633,32 +627,6 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
     return merges
 
 
-def _unplace_demand(state: NetworkState, demand: Demand) -> None:
-    """Remove every placement of ``demand`` and drop lightpaths left empty.
-
-    Used when a deferred sub-flow blocks after its siblings were already
-    committed: lightpaths the demand shares with other flows survive with the
-    demand's capacity returned, dedicated ones are torn down and their
-    spectrum freed.
-    """
-    touched: set[int] = set()
-    for flow in state.records.pop(demand.key, []):
-        for lp_id, rate in flow.placements:
-            lp = state.lightpaths.get(lp_id)
-            if lp is not None:
-                lp.release(flow.flow_id, rate)
-                touched.add(lp_id)
-        flow.placements = []
-    for lp_id in touched:
-        lp = state.lightpaths[lp_id]
-        if lp.carried:
-            continue
-        del state.lightpaths[lp_id]
-        for seg in lp.segments:
-            for u, v in zip(seg.nodes, seg.nodes[1:]):
-                state.occupancy[(u, v)].discard(seg.channel)
-
-
 def _remap_records(state: NetworkState, id_map: dict[int, int]) -> None:
     for flows in state.records.values():
         for flow in flows:
@@ -697,11 +665,12 @@ def provision_all(
     for demand, flow in sorted(deferred, key=_deferred_km):
         if demand.key not in state.records:
             continue  # a sibling sub-flow already blocked this demand
-        undo: list = []
         try:
-            _route_flow(state, flow, undo)
+            _route_flow(state, flow)
         except BlockedError as exc:
-            _unplace_demand(state, demand)
+            # siblings committed in stage 1 come back out with the demand
+            for sibling in state.records.pop(demand.key):
+                _release(state, sibling.flow_id, sibling.placements)
             state.blocked.append((demand, exc.reason))
     # Routers that both regenerate and may use b2b pairs (TrIPandZR) route
     # exactly like TrIP and convert pure regens afterwards, which keeps the

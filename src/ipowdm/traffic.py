@@ -78,7 +78,14 @@ class TrafficMatrix:
 
 
 def scenario_from_dict(doc: dict) -> TrafficScenario:
+    if not isinstance(doc, dict):
+        raise TrafficError("scenario must be a JSON object")
+    for key in ("name", "weights"):
+        if key not in doc:
+            raise TrafficError(f"scenario has no {key!r} field")
     raw = doc["weights"]
+    if not isinstance(raw, dict):
+        raise TrafficError("scenario field 'weights' must be an object of rate -> weight")
     weights = tuple(float(raw.get(str(r), 0.0)) for r in RATE_CLASSES)
     return TrafficScenario(str(doc["name"]), weights)
 

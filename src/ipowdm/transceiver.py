@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -69,7 +69,17 @@ MAX_REACH_KM = max(m.reach_km for m in DEFAULT_CATALOG)
 
 
 def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
+    """Read ``{"modes": [{<every TransceiverMode field>}, ...]}``; raises CatalogError."""
     doc = json.loads(Path(path).read_text())
+    rows = doc.get("modes") if isinstance(doc, dict) else None
+    if not isinstance(rows, list) or not rows:
+        raise CatalogError("catalog field 'modes' must be a non-empty list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise CatalogError(f"catalog mode #{i} must be a JSON object")
+        for f in fields(TransceiverMode):
+            if f.name not in row:
+                raise CatalogError(f"catalog mode #{i} has no {f.name!r} field")
     return tuple(
         TransceiverMode(
             row["module"],
@@ -79,7 +89,7 @@ def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
             float(row["power_units"]),
             float(row["cost_units"]),
         )
-        for row in doc["modes"]
+        for row in rows
     )
 
 

@@ -57,8 +57,20 @@ class TestPowerTable:
             ({"power": [1]}, "section 'power' must be a JSON object"),
             ({"powr": {}}, "unknown section 'powr'"),
             ([], "must be a JSON object"),
+            ({"power": {"zr": "1"}}, "power entry zr must be a finite number >= 0, got '1'"),
+            ({"power": {"awg": True}}, "power entry awg must be a finite number >= 0"),
+            ({"power": {"oa_unidir": 1e999}}, "power entry oa_unidir must be a finite number"),
+            ({"dimensioning": {"adb_capacity": 0}},
+             "dimensioning entry adb_capacity must be an int >= 1, got 0"),
+            ({"dimensioning": {"shelf_slot_capacity": 2.5}},
+             "dimensioning entry shelf_slot_capacity must be an int >= 1"),
+            ({"dimensioning": {"oa_slots": -1}}, "dimensioning entry oa_slots must be an int >= 0"),
+            ({"dimensioning": {"iroadm_slots": False}},
+             "dimensioning entry iroadm_slots must be an int >= 0"),
         ],
-        ids=["power-key", "dimensioning-key", "section-type", "section-name", "document-type"],
+        ids=["power-key", "dimensioning-key", "section-type", "section-name", "document-type",
+             "power-string", "power-bool", "power-inf",
+             "capacity-zero", "capacity-float", "slots-negative", "slots-bool"],
     )
     def test_config_file_unknown_entry_named(self, tmp_path, doc, message):
         path = tmp_path / "power.json"

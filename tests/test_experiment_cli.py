@@ -180,6 +180,17 @@ class TestCli:
         assert err.startswith("ipowdm: error: ") and str(missing) in err
         assert len(err.splitlines()) == 1
 
+    def test_strict_blocking_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "tight.json"
+        path.write_text(mk_topo("tight", [("a", "b", 100), ("b", "c", 100)], channels=1).to_json())
+        rc = main(["plan", "--topology", str(path), "--arch", "TrIP", "--seed", "0", "--strict"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ipowdm: error: ")
+        assert "blocked demands on tight/TrIP/TS1/seed 0" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_gen_traffic_rejects_planning_flags(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen-traffic", "--topology", "j14", "--k", "3"])

@@ -238,6 +238,29 @@ class TestBlockingAndAtomicity:
         assert all(not chans for chans in st.occupancy.values())
         st.audit()
 
+    def test_chain_failing_part_way_tears_down_its_lightpaths(self):
+        # 3200 km: the router at b regenerates. a->c tries the whole route,
+        # then the a-b + b-c edges; each try opens an a-b lightpath (ids 2
+        # and 3), finds b-c's only channel taken and must tear a-b down
+        st = provision(LINE_XLONG, "TrIP", Demand("b", "c", 300), Demand("a", "c", 200),
+                       channels=1)
+        assert [(d.key, r) for d, r in st.blocked] == [(("a", "c"), "no_spectrum")]
+        assert [(lp.id, lp.route) for lp in st.lightpaths.values()] == [(1, ("b", "c"))]
+        assert {f: c for f, c in st.occupancy.items() if c} == {("b", "c"): {0}}
+        assert st._next_id == 3
+        st.audit()
+
+    @pytest.mark.parametrize("arch", ["TrZR", "TrIPandZR"])
+    def test_split_demand_blocking_leaves_nothing(self, arch):
+        # 600G splits 400 + 200 (over two lightpaths under TrZR, over two
+        # sub-flows otherwise); the second finds the only channel taken
+        st = provision(LINE_SHORT, arch, Demand("a", "c", 600), channels=1)
+        assert [(d.rate_gbps, r) for d, r in st.blocked] == [(600, "no_spectrum")]
+        assert not st.records
+        assert not st.lightpaths
+        assert all(not chans for chans in st.occupancy.values())
+        st.audit()
+
     def test_duplicate_demand_rejected(self):
         topo = mk_topo("t", LINE_SHORT)
         state = NetworkState(topo, "TrIP", PlannerConfig())

@@ -61,6 +61,18 @@ class TestScenario:
         assert sc.name == "flat"
         assert all(abs(w - 1 / 6) < 1e-12 for w in sc.weights)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"name": "flat"}, "no 'weights' field"),
+        ({"name": "flat", "weights": [0.5, 0.5]}, "'weights' must be an object"),
+        ({"weights": {"100": 1.0}}, "no 'name' field"),
+        ([], "scenario must be a JSON object"),
+    ], ids=["weights-missing", "weights-list", "name-missing", "document-type"])
+    def test_malformed_scenario_file_named(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrafficError, match=message):
+            load_scenario(path)
+
 
 class TestDemand:
     def test_same_endpoints_rejected(self):

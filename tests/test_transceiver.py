@@ -69,6 +69,20 @@ class TestCatalog:
         with pytest.raises(CatalogError, match="rate_gbps must be > 0"):
             load_catalog(path)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({}, "'modes' must be a non-empty list"),
+        ({"modes": []}, "'modes' must be a non-empty list"),
+        ({"modes": [{"module": "ZR", "modulation": "16QAM", "reach_km": 120,
+                     "power_units": 1.0, "cost_units": 1.0}]},
+         "mode #0 has no 'rate_gbps' field"),
+        ({"modes": [["ZR", "16QAM"]]}, "mode #0 must be a JSON object"),
+    ], ids=["modes-missing", "modes-empty", "field-missing", "mode-type"])
+    def test_malformed_catalog_file_named(self, tmp_path, doc, message):
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CatalogError, match=message):
+            load_catalog(path)
+
 
 class TestModeSelection:
     def test_short_reach_prefers_low_power_module(self):
