@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import pairwise
 from heapq import heappush, heappop
+from typing import NamedTuple
 
 from .topology import Topology, k_shortest_paths
 from .transceiver import (
@@ -234,76 +235,126 @@ _GROOM = 0
 _NEW = 1
 
 
-@dataclass
-class AuxEdge:
+class AuxEdge(NamedTuple):
+    """An auxiliary-graph edge. Tuple order is the alternatives' order:
+    ``lp_id`` is unique among grooming edges and ``subpath`` among candidate
+    edges, so a comparison never reaches ``u`` and ``v``."""
+
+    weight: float
+    kind: int                 # _GROOM | _NEW
+    lp_id: int                # grooming edges; -1 on candidate edges
+    subpath: tuple[str, ...]  # candidate edges; () on grooming edges
     u: str
     v: str
-    weight: float
-    kind: int            # _GROOM | _NEW
-    lp_id: int = -1      # grooming edges
-    subpath: tuple[str, ...] = ()  # candidate edges
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.weight, self.kind, self.lp_id, self.subpath)
 
 
-def _chain_feasible(link_lengths, rate, catalog) -> bool:
-    longest = max(link_lengths)
-    return any(m.rate_gbps >= rate and m.reach_km >= longest for m in catalog)
+# Shapes of the new-lightpath (candidate) edges; TrIP and TrIPandZR share one.
+_HOP, _END_TO_END, _SUBPATH = range(3)
+
+
+def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
+    """(longest hop, ((u, v), alternatives best-first) pairs) of one memo entry.
+
+    Edges, keys, alternative tuples and pairs are interned in
+    ``topology._aux_intern``, so entries that share a subpath share its objects.
+    """
+    topo = state.topology
+    intern = topo._aux_intern.setdefault
+    if shape == _HOP:
+        subpaths = topo.directed_fibers()
+        base = OPAQUE_HOP_WEIGHT
+    else:
+        paths = state.paths(src, dst)
+        if shape == _END_TO_END:
+            subpaths = [tuple(p) for p in paths]
+        else:
+            subpaths = dict.fromkeys(tuple(p[i:j + 1]) for p in paths
+                                     for i in range(len(p) - 1)
+                                     for j in range(i + 1, len(p)))
+        base = state._new_lp_penalty
+    alts: dict[tuple[str, str], list[AuxEdge]] = {}
+    longest = 0.0
+    for sub in subpaths:
+        lengths = topo.path_link_lengths(sub)
+        longest = max(longest, *lengths)
+        edge = AuxEdge(sum(lengths) + base, _NEW, -1, sub, sub[0], sub[-1])
+        alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
+    pairs = []
+    for key, edges in alts.items():
+        edges = tuple(sorted(edges))
+        pair = (intern(key, key), intern(edges, edges))
+        pairs.append(intern(pair, pair))
+    return longest, tuple(pairs)
+
+
+def _candidate_edges(state: NetworkState, demand: Demand):
+    """((u, v), alternatives) pairs of the new-lightpath edges for ``demand``.
+
+    They depend only on the topology, the edge shape, (src, dst), ``k`` and
+    the new-lightpath penalty, so each is built once per topology and kept in
+    ``topology._aux_memo``. The reach rule runs here, and only when the
+    demand's limit is shorter than the entry's longest hop: a subpath is kept
+    when its longest hop is within the largest reach of a mode carrying the
+    demand's capped rate, an end-to-end path when it is within the catalog's
+    largest reach. Hop-by-hop edges are never filtered.
+    """
+    arch = state.arch
+    if not arch.optical_bypass:
+        shape, key = _HOP, (_HOP,)
+    else:
+        shape = _SUBPATH if arch.intermediate_ip_grooming else _END_TO_END
+        key = (shape, demand.src, demand.dst, state.cfg.k, state._new_lp_penalty)
+    memo = state.topology._aux_memo
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
+    longest, pairs = entry
+    if shape == _HOP:
+        return pairs
+    catalog = state.catalog
+    if shape == _END_TO_END:
+        limit = max(m.reach_km for m in catalog)
+    else:
+        rate = min(demand.rate_gbps, max(m.rate_gbps for m in catalog))
+        limit = max(m.reach_km for m in catalog if m.rate_gbps >= rate)
+    if limit >= longest:
+        return pairs
+    topo = state.topology
+    kept = ((key, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
+            for key, alts in pairs)
+    return [(key, alts) for key, alts in kept if alts]
 
 
 def build_auxiliary_graph(
     state: NetworkState, demand: Demand
 ) -> dict[tuple[str, str], list[AuxEdge]]:
-    """Edges keyed by (u, v); each key holds alternatives best-first."""
-    topo = state.topology
+    """Edges keyed by (u, v); each key holds alternatives best-first.
+
+    Grooming edges come from the live lightpaths on every call; candidate
+    edges are fresh lists over the memoized tuples of :func:`_candidate_edges`,
+    so callers may pop from them.
+    """
     arch = state.arch
-    penalty = state._new_lp_penalty
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
-
-    def add(edge: AuxEdge):
-        edges.setdefault((edge.u, edge.v), []).append(edge)
-
-    for lp in state.lightpaths.values():  # order is free: alternatives sort by sort_key
+    for lp in state.lightpaths.values():  # order is free: alternatives sort
         if lp.residual < demand.rate_gbps:
             continue
         if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
             continue
         if arch.intermediate_ip_grooming and len(lp.carried) >= GROOM_MAX_FLOWS_PER_LP:
             continue
-        add(AuxEdge(lp.route[0], lp.route[-1], GROOMING_WEIGHT_FACTOR * lp.length_km,
-                    _GROOM, lp_id=lp.id))
-
-    if not arch.optical_bypass:
-        for u, v in topo.directed_fibers():
-            length = topo.link_length(u, v)
-            add(AuxEdge(u, v, OPAQUE_HOP_WEIGHT + length, _NEW, subpath=(u, v)))
-    elif not arch.intermediate_ip_grooming:
-        # end-to-end only: candidate edges are whole source-destination paths
-        for path in state.paths(demand.src, demand.dst):
-            lengths = topo.path_link_lengths(path)
-            if max(lengths) > max(m.reach_km for m in state.catalog):
-                continue
-            add(AuxEdge(demand.src, demand.dst,
-                        sum(lengths) + penalty, _NEW, subpath=tuple(path)))
-    else:
-        rate = min(demand.rate_gbps, max(m.rate_gbps for m in state.catalog))
-        seen_sub: set[tuple[str, ...]] = set()
-        for path in state.paths(demand.src, demand.dst):
-            for i in range(len(path) - 1):
-                for j in range(i + 1, len(path)):
-                    sub = tuple(path[i:j + 1])
-                    if sub in seen_sub:
-                        continue
-                    seen_sub.add(sub)
-                    lengths = topo.path_link_lengths(sub)
-                    if not _chain_feasible(lengths, rate, state.catalog):
-                        continue
-                    add(AuxEdge(sub[0], sub[-1], sum(lengths) + penalty, _NEW, subpath=sub))
-
+        u, v = lp.endpoints
+        edges.setdefault((u, v), []).append(
+            AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v))
     for alts in edges.values():
-        alts.sort(key=lambda e: e.sort_key)
+        alts.sort()
+    for key, alts in _candidate_edges(state, demand):
+        groom = edges.get(key)
+        if groom is None:
+            edges[key] = list(alts)
+        else:
+            groom.extend(alts)
+            groom.sort()
     return edges
 
 
@@ -313,8 +364,6 @@ def _aux_shortest_path(edges, src, dst):
     for (u, _v), alts in edges.items():
         if alts:
             adj.setdefault(u, []).append(alts[0])
-    for lst in adj.values():
-        lst.sort(key=lambda e: e.v)
     heap = [(0.0, (src,))]
     done = set()
     while heap:

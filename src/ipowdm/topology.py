@@ -78,8 +78,10 @@ class Link:
 class Topology:
     """Validated, immutable physical topology. Safe to share across runs.
 
-    ``k_shortest_paths`` memoizes its results on the instance, so every run
-    planned on the same object shares the candidate paths.
+    ``k_shortest_paths`` memoizes its results on the instance, and so does
+    the planner's new-lightpath edge build (``_aux_memo``, whose edges, keys
+    and alternative tuples are interned in ``_aux_intern``), so every run
+    planned on the same object shares them; they are freed with it.
     """
 
     name: str
@@ -88,6 +90,8 @@ class Topology:
     grid: ChannelGrid = ChannelGrid()
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes))

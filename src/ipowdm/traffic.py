@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -86,7 +87,14 @@ def scenario_from_dict(doc: dict) -> TrafficScenario:
     raw = doc["weights"]
     if not isinstance(raw, dict):
         raise TrafficError("scenario field 'weights' must be an object of rate -> weight")
-    weights = tuple(float(raw.get(str(r), 0.0)) for r in RATE_CLASSES)
+    classes = [str(r) for r in RATE_CLASSES]
+    for key, weight in raw.items():
+        if key not in classes:
+            raise TrafficError(f"scenario weight key {key!r} is not a rate class {RATE_CLASSES}")
+        numeric = isinstance(weight, (int, float)) and not isinstance(weight, bool)
+        if not (numeric and math.isfinite(weight)):
+            raise TrafficError(f"scenario weight {key!r} must be a finite number, got {weight!r}")
+    weights = tuple(float(raw.get(r, 0.0)) for r in classes)
     return TrafficScenario(str(doc["name"]), weights)
 
 

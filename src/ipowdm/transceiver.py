@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+
+MODULES = ("ZR", "ZR+")
 
 
 class CatalogError(ValueError):
@@ -42,12 +46,24 @@ class TransceiverMode:
     cost_units: float
 
     def __post_init__(self):
+        where = f"({self.module}/{self.modulation})"
+        if self.module not in MODULES:
+            raise CatalogError(f"module must be 'ZR' or 'ZR+', got {self.module!r} {where}")
+        for name in ("reach_km", "rate_gbps", "power_units", "cost_units"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CatalogError(f"{name} must be a number, got {value!r} {where}")
         for name in ("reach_km", "rate_gbps"):
             value = getattr(self, name)
             if not value > 0:
-                raise CatalogError(
-                    f"{name} must be > 0, got {value!r} ({self.module}/{self.modulation})"
-                )
+                raise CatalogError(f"{name} must be > 0, got {value!r} {where}")
+        if not float(self.rate_gbps).is_integer():
+            raise CatalogError(f"rate_gbps must be an integer, got {self.rate_gbps!r} {where}")
+        object.__setattr__(self, "rate_gbps", int(self.rate_gbps))
+        for name in ("power_units", "cost_units"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise CatalogError(f"{name} must be finite and >= 0, got {value!r} {where}")
 
     @property
     def key(self) -> tuple:
@@ -74,23 +90,22 @@ def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
     rows = doc.get("modes") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
         raise CatalogError("catalog field 'modes' must be a non-empty list")
+    modes = []
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise CatalogError(f"catalog mode #{i} must be a JSON object")
         for f in fields(TransceiverMode):
             if f.name not in row:
                 raise CatalogError(f"catalog mode #{i} has no {f.name!r} field")
-    return tuple(
-        TransceiverMode(
-            row["module"],
-            row["modulation"],
-            float(row["reach_km"]),
-            int(row["rate_gbps"]),
-            float(row["power_units"]),
-            float(row["cost_units"]),
-        )
-        for row in rows
-    )
+        try:
+            mode = TransceiverMode(**{f.name: row[f.name] for f in fields(TransceiverMode)})
+        except CatalogError as exc:
+            raise CatalogError(f"catalog mode #{i}: {exc}") from None
+        # lengths and units load as floats, whatever the JSON spelling
+        modes.append(replace(mode, reach_km=float(mode.reach_km),
+                             power_units=float(mode.power_units),
+                             cost_units=float(mode.cost_units)))
+    return tuple(modes)
 
 
 def _order_key(m: TransceiverMode) -> tuple:
@@ -157,8 +172,6 @@ def min_regen_count(distance_km: float, mode: TransceiverMode) -> int:
     """Regens needed to span distance_km assuming OEO can be placed anywhere."""
     if distance_km <= 0:
         return 0
-    import math
-
     return max(0, math.ceil(distance_km / mode.reach_km) - 1)
 
 

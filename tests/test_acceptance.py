@@ -237,6 +237,28 @@ def test_near_optimal_on_toy_instances():
     )
 
 
+# The worst toy cases of the check above, pinned as (heuristic, oracle)
+# module cost: TrIP and TrIPandZR spend 4 cost units more than the oracle on
+# these three instances, and 24 / 20 sits exactly on the bound.
+TOY_GAP = {
+    (13, "TrIP"): (24.0, 20.0),
+    (13, "TrIPandZR"): (24.0, 20.0),
+    (17, "TrIP"): (26.0, 22.0),
+    (17, "TrIPandZR"): (26.0, 22.0),
+    (19, "TrIP"): (24.0, 20.0),
+    (19, "TrIPandZR"): (24.0, 20.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOY_GAP), ids=lambda c: f"toy{c[0]}-{c[1]}")
+def test_toy_near_optimality_gap_pinned(case):
+    seed, arch = case
+    topo, matrix = toy_instance(seed)
+    opt_cost, _ = exhaustive_min_cost_provision(topo, list(matrix.demands), arch)
+    got = network_cost(provision_all(topo, matrix, arch)).module_cost
+    assert (got, opt_cost) == TOY_GAP[case]
+
+
 def test_exact_match_on_enumeration_lattices():
     lengths_pool = (100, 300, 500, 600, 900, 1200)
     mismatches = 0

@@ -12,12 +12,15 @@ from ipowdm.rmsa import (
     BlockedError,
     NetworkState,
     PlannerConfig,
+    _create_lightpath,
+    build_auxiliary_graph,
     merge_pure_ip_regens,
     provision_all,
     route_demand,
 )
 from ipowdm.topology import ChannelGrid, load_named_topology
 from ipowdm.traffic import Demand, TrafficMatrix, generate_traffic, load_scenario
+from ipowdm.transceiver import DEFAULT_CATALOG, TransceiverMode
 
 LINE_SHORT = [("a", "b", 100), ("b", "c", 100)]
 LINE_LONG = [("a", "b", 600), ("b", "c", 600)]
@@ -352,6 +355,88 @@ class TestDeterminism:
                 a = provision_all(topo, m, arch).to_dict()
                 b = provision_all(topo, m, arch).to_dict()
                 assert a == b
+
+
+# Three a-b routes, one of them a single 800 km link: longer than the reach
+# of every 400G mode, so the reach rule of the candidate edges filters on it.
+DETOUR = [("a", "b", 800), ("a", "d", 300), ("d", "b", 400), ("a", "e", 450),
+          ("e", "b", 400), ("b", "c", 100)]
+DETOUR_DEMANDS = (Demand("a", "b", 400), Demand("b", "a", 300), Demand("a", "c", 600),
+                  Demand("c", "a", 200), Demand("d", "c", 100))
+# same minimum cost as the default catalog, so the same penalty and memo
+# entries, but no mode reaches 800 km
+SHORT_REACH = (
+    TransceiverMode("ZR", "16QAM", 120, 400, 1.0, 1.0),
+    TransceiverMode("ZR+", "16QAM", 600, 400, 1.3, 2.0),
+    TransceiverMode("ZR+", "QPSK", 700, 200, 1.3, 2.0),
+)
+# a different minimum cost, so a different new-lightpath penalty
+DEAR = tuple(dataclasses.replace(m, cost_units=m.cost_units * 3) for m in DEFAULT_CATALOG)
+
+
+class TestCandidateMemo:
+    def test_shared_topology_plans_like_fresh_ones(self):
+        shared = mk_topo("t", DETOUR)
+        m = matrix(*DETOUR_DEMANDS)
+        for catalog in (DEFAULT_CATALOG, DEAR, SHORT_REACH, DEFAULT_CATALOG):
+            for k in (2, 3):
+                for arch in ARCH_NAMES:
+                    cfg = PlannerConfig(k)
+                    fresh = provision_all(mk_topo("t", DETOUR), m, arch, cfg, catalog)
+                    warm = provision_all(shared, m, arch, cfg, catalog)
+                    assert state_digest(warm) == state_digest(fresh), (catalog, k, arch)
+                    # the candidate edges carry this plan's penalty and k paths
+                    for demand in m.demands:
+                        assert build_auxiliary_graph(
+                            NetworkState(shared, arch, cfg, catalog), demand
+                        ) == build_auxiliary_graph(
+                            NetworkState(mk_topo("t", DETOUR), arch, cfg, catalog), demand
+                        ), (catalog, k, arch, demand)
+        assert shared._aux_memo
+
+    @pytest.mark.parametrize("arch", ["TrIP", "TrZR", "TrIPandZR"])
+    def test_reach_rule_filters_a_shared_entry(self, arch):
+        topo = mk_topo("t", DETOUR)
+        demand = Demand("a", "b", 400)
+
+        def subpaths(catalog):
+            state = NetworkState(topo, arch, PlannerConfig(), catalog)
+            edges = build_auxiliary_graph(state, demand)
+            return {e.subpath for alts in edges.values() for e in alts}
+
+        short = subpaths(SHORT_REACH)
+        entries = len(topo._aux_memo)
+        assert ("a", "b") not in short and ("a", "d", "b") in short
+        # the default catalog reuses the entry and keeps the 800 km hop where
+        # a mode reaches it: TrZR's 3000 km modes, not the 400G ones
+        assert (("a", "b") in subpaths(DEFAULT_CATALOG)) == (arch == "TrZR")
+        assert len(topo._aux_memo) == entries
+
+    def test_grooming_edges_sort_before_and_among_candidates(self):
+        # lightpaths opened longest first, so id order is not weight order;
+        # key (a, b) also holds a candidate edge, key (b, a) grooms only
+        topo = mk_topo("t", [("a", "b", 20), ("a", "c", 1500), ("c", "b", 1500)])
+        state = NetworkState(topo, "TrIP", PlannerConfig())
+        qpsk = DEFAULT_CATALOG[-1]
+        for route in (("a", "c", "b"), ("a", "b"), ("b", "c", "a"), ("b", "a")):
+            _create_lightpath(state, route, qpsk, ())
+        edges = build_auxiliary_graph(state, Demand("a", "b", 100))
+        assert [(e.lp_id, e.subpath) for e in edges[("a", "b")]] == [
+            (2, ()), (-1, ("a", "b")), (1, ()), (-1, ("a", "c", "b"))]  # 0.2, 22, 30, 3002
+        assert [e.lp_id for e in edges[("b", "a")]] == [4, 3]
+
+    def test_alternatives_strictly_ordered(self):
+        for seed in range(10):
+            topo, m = toy_instance(seed)
+            for arch in ARCH_NAMES:
+                states = (NetworkState(topo, arch, PlannerConfig()),
+                          provision_all(topo, m, arch))
+                for state in states:
+                    for demand in m.demands:
+                        for (u, v), alts in build_auxiliary_graph(state, demand).items():
+                            assert all((e.u, e.v) == (u, v) for e in alts)
+                            order = [(e.weight, e.kind, e.lp_id, e.subpath) for e in alts]
+                            assert all(a < b for a, b in zip(order, order[1:])), order
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -66,7 +67,15 @@ class TestScenario:
         ({"name": "flat", "weights": [0.5, 0.5]}, "'weights' must be an object"),
         ({"weights": {"100": 1.0}}, "no 'name' field"),
         ([], "scenario must be a JSON object"),
-    ], ids=["weights-missing", "weights-list", "name-missing", "document-type"])
+        ({"name": "x", "weights": {"100": 0.5, "200": 0.5, "250": 7}},
+         r"weight key '250' is not a rate class"),
+        ({"name": "x", "weights": {"100": "0.5", "200": 0.5}},
+         "weight '100' must be a finite number, got '0.5'"),
+        ({"name": "x", "weights": {"100": True}}, "weight '100' must be a finite number"),
+        ({"name": "x", "weights": {"100": math.nan, "200": 1.0}},
+         "weight '100' must be a finite number"),
+    ], ids=["weights-missing", "weights-list", "name-missing", "document-type",
+            "weight-key", "weight-string", "weight-bool", "weight-nan"])
     def test_malformed_scenario_file_named(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

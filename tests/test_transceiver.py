@@ -25,6 +25,10 @@ from ipowdm.transceiver import (
 )
 
 
+ZR_ROW = {"module": "ZR", "modulation": "16QAM", "reach_km": 120, "rate_gbps": 400,
+          "power_units": 1.0, "cost_units": 1.0}
+
+
 class TestCatalog:
     def test_default_operating_points(self):
         table = {(m.module, m.modulation, m.rate_gbps): m for m in DEFAULT_CATALOG}
@@ -76,12 +80,28 @@ class TestCatalog:
                      "power_units": 1.0, "cost_units": 1.0}]},
          "mode #0 has no 'rate_gbps' field"),
         ({"modes": [["ZR", "16QAM"]]}, "mode #0 must be a JSON object"),
-    ], ids=["modes-missing", "modes-empty", "field-missing", "mode-type"])
+        ({"modes": [dict(ZR_ROW, module="XX")]}, r"mode #0: module must be 'ZR' or 'ZR\+'"),
+        ({"modes": [dict(ZR_ROW, power_units=-1)]}, "mode #0: power_units must be finite"),
+        ({"modes": [dict(ZR_ROW, cost_units=-3)]}, "mode #0: cost_units must be finite"),
+        ({"modes": [dict(ZR_ROW, power_units=math.inf)]}, "mode #0: power_units must be finite"),
+        ({"modes": [dict(ZR_ROW, cost_units=math.nan)]}, "mode #0: cost_units must be finite"),
+        ({"modes": [dict(ZR_ROW, rate_gbps=400.7)]}, "mode #0: rate_gbps must be an integer"),
+        ({"modes": [dict(ZR_ROW, cost_units="abc")]}, "mode #0: cost_units must be a number"),
+        ({"modes": [dict(ZR_ROW, reach_km=True)]}, "mode #0: reach_km must be a number"),
+    ], ids=["modes-missing", "modes-empty", "field-missing", "mode-type", "module-name",
+            "power-negative", "cost-negative", "power-inf", "cost-nan", "rate-fraction",
+            "cost-string", "reach-bool"])
     def test_malformed_catalog_file_named(self, tmp_path, doc, message):
         path = tmp_path / "modes.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CatalogError, match=message):
             load_catalog(path)
+
+    def test_integral_rate_loads_as_int(self, tmp_path):
+        path = tmp_path / "modes.json"
+        path.write_text(json.dumps({"modes": [dict(ZR_ROW, rate_gbps=400.0)]}))
+        (mode,) = load_catalog(path)
+        assert mode.rate_gbps == 400 and isinstance(mode.rate_gbps, int)
 
 
 class TestModeSelection:
