@@ -22,6 +22,7 @@ from .transceiver import (
     feasible_modes,
     plan_regeneration,
     select_mode_max_rate,
+    select_mode_min_regens,
     select_modes_min_channels,
 )
 from .rmsa import (

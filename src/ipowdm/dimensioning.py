@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .rmsa import NetworkState
@@ -42,9 +42,6 @@ class PowerTable:
                     or not math.isfinite(value) or value < 0):
                 raise ValueError(f"power entry {f.name} must be a finite number >= 0, "
                                  f"got {value!r}")
-
-    def scaled(self, c: float) -> "PowerTable":
-        return replace(self, **{f.name: getattr(self, f.name) * c for f in fields(self)})
 
 
 @dataclass(frozen=True)

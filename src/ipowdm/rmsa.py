@@ -25,15 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import pairwise
-from heapq import heappush, heappop
 from typing import NamedTuple
 
-from .topology import Topology, k_shortest_paths
+from .topology import Topology, k_shortest_paths, lexicographic_dijkstra
 from .transceiver import (
     DEFAULT_CATALOG,
     NoFeasibleMode,
     TransceiverMode,
     plan_regeneration,
+    select_mode_max_rate,
+    select_mode_min_regens,
     select_modes_min_channels,
 )
 from .traffic import Demand, TrafficMatrix
@@ -359,53 +360,15 @@ def build_auxiliary_graph(
 
 
 def _aux_shortest_path(edges, src, dst):
-    """Dijkstra over best edge per node pair; ties broken on the node sequence."""
-    adj: dict[str, list[AuxEdge]] = {}
-    for (u, _v), alts in edges.items():
-        if alts:
-            adj.setdefault(u, []).append(alts[0])
-    heap = [(0.0, (src,))]
-    done = set()
-    while heap:
-        dist, path = heappop(heap)
-        node = path[-1]
-        if node == dst:
-            return [edges[(u, v)][0] for u, v in zip(path, path[1:])]
-        if node in done:
-            continue
-        done.add(node)
-        for e in adj.get(node, ()):
-            if e.v in path:
-                continue
-            heappush(heap, (dist + e.weight, path + (e.v,)))
-    return None
+    """Best edge per node pair along the lexicographic shortest path, or None."""
+    adj: dict[str, dict[str, float]] = {}
+    for (u, v), alts in edges.items():
+        adj.setdefault(u, {})[v] = alts[0].weight
+    found = lexicographic_dijkstra(adj, src, dst)
+    return None if found is None else [edges[key][0] for key in pairwise(found[1])]
 
 
 # -- transport realization ---------------------------------------------------
-
-def _pick_chain_mode(link_lengths, rate, catalog):
-    """Mode for a new max-rate-policy lightpath over the given hops.
-
-    Among modes that can carry the flow, minimize IP-regen splits, then prefer
-    the highest rate (residual stays groomable), then lower power.
-    """
-    best = None
-    for m in catalog:
-        if m.rate_gbps < rate or max(link_lengths) > m.reach_km:
-            continue
-        plan = plan_regeneration(link_lengths, m)
-        key = (plan.regen_count, -m.rate_gbps, m.power_units, m.module, m.modulation)
-        if best is None or key < best[0]:
-            best = (key, m, plan)
-    if best is None:
-        raise NoFeasibleMode(f"no mode carries {rate}G over hops {link_lengths}")
-    return best[1], best[2]
-
-
-def _best_segment_mode(length, rate, catalog):
-    cands = [m for m in catalog if m.rate_gbps >= rate and m.reach_km >= length]
-    return min(cands, key=lambda m: (-m.rate_gbps, m.power_units, m.module, m.modulation))
-
 
 def assign_spectrum_first_fit(state: NetworkState, segment_nodes) -> int:
     """Lowest channel index free on every directed fiber of the segment."""
@@ -456,7 +419,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
             placements.append((lp.id, amount))
         return
 
-    mode, plan = _pick_chain_mode(lengths, rate, state.catalog)
+    mode, plan = select_mode_min_regens(lengths, rate, state.catalog)
     if plan.regen_count == 0:
         lp = _create_lightpath(state, edge.subpath, mode, ())
         lp.carry(flow_id, rate)
@@ -466,7 +429,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
     cuts = [0] + list(plan.boundaries) + [len(edge.subpath) - 1]
     for a, b in zip(cuts, cuts[1:]):
         seg = edge.subpath[a:b + 1]
-        seg_mode = _best_segment_mode(topo.path_length_km(seg), rate, state.catalog)
+        seg_mode = select_mode_max_rate(topo.path_length_km(seg), state.catalog)
         lp = _create_lightpath(state, seg, seg_mode, ())
         lp.carry(flow_id, rate)
         placements.append((lp.id, rate))

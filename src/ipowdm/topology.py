@@ -226,84 +226,75 @@ def load_named_topology(name_or_path: str) -> Topology:
     return load_topology(name_or_path)
 
 
-def _dijkstra(topo: Topology, src: str, dst: str, removed_nodes: set, removed_edges: set):
-    """Shortest path with deterministic lexicographic tie-break on node sequence.
+def lexicographic_dijkstra(adj, src, dst, settled=(), removed_edges=()):
+    """Shortest ``src -> dst`` path over ``adj`` (node -> {neighbour: weight}).
 
-    Heap entries are (distance, path) so equal-length paths pop in
-    lexicographic order.
+    Returns ``(dist, node tuple)``, or None if ``dst`` is unreachable. Heap
+    entries are ``(dist, path)`` and no path is pushed twice, so equal
+    distances pop in lexicographic order of the node sequence whatever the
+    neighbour order in ``adj``. Nodes in ``settled`` and directed edges in
+    ``removed_edges`` are never used. Every node of a popped path is settled,
+    so skipping settled nodes also keeps paths simple.
     """
     heap = [(0.0, (src,))]
-    best_done = set()
+    done = set(settled)
     while heap:
         dist, path = heapq.heappop(heap)
         node = path[-1]
         if node == dst:
-            return dist, list(path)
-        if node in best_done:
+            return dist, path
+        if node in done:
             continue
-        best_done.add(node)
-        for nbr, length in sorted(topo.neighbors(node).items()):
-            if nbr in removed_nodes or nbr in path:
-                continue
-            if (node, nbr) in removed_edges:
-                continue
-            heapq.heappush(heap, (dist + length, path + (nbr,)))
+        done.add(node)
+        for nbr, weight in adj.get(node, {}).items():
+            if nbr not in done and (node, nbr) not in removed_edges:
+                heapq.heappush(heap, (dist + weight, path + (nbr,)))
     return None
-
-
-def shortest_path(topo: Topology, src: str, dst: str):
-    """Shortest simple path src->dst, or None if unreachable."""
-    res = _dijkstra(topo, src, dst, set(), set())
-    return None if res is None else res[1]
 
 
 def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[str]]:
     """Up to k loop-free paths, ascending (length, lexicographic) via Yen's algorithm.
 
-    Results are memoized on ``topo`` per (src, dst, k); each call returns
-    fresh lists.
+    Results are memoized on ``topo`` per (src, dst, k); arguments are checked
+    on a miss only, as bad ones never enter the memo. Each call returns fresh
+    lists.
     """
-    if src not in topo._adj or dst not in topo._adj:
-        raise TopologyError(f"unknown node in pair ({src!r},{dst!r})")
-    if src == dst:
-        raise TopologyError("source and destination must differ")
-    if k < 1:
-        raise TopologyError(f"k must be >= 1, got {k}")
     key = (src, dst, k)
     paths = topo._ksp_memo.get(key)
     if paths is None:
+        if src not in topo._adj or dst not in topo._adj:
+            raise TopologyError(f"unknown node in pair ({src!r},{dst!r})")
+        if src == dst:
+            raise TopologyError("source and destination must differ")
+        if k < 1:
+            raise TopologyError(f"k must be >= 1, got {k}")
         paths = topo._ksp_memo[key] = _yen(topo, src, dst, k)
     return [list(p) for p in paths]
 
 
 def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
-    first = _dijkstra(topo, src, dst, set(), set())
+    adj = topo._adj
+    first = lexicographic_dijkstra(adj, src, dst)
     if first is None:
         return ()
     accepted = [first]
     candidates: list[tuple[float, tuple[str, ...]]] = []
-    seen = {tuple(first[1])}
+    seen = {first[1]}
     while len(accepted) < k:
         _, prev_path = accepted[-1]
         for i in range(len(prev_path) - 1):
-            spur = prev_path[i]
             root = prev_path[: i + 1]
-            removed_edges = set()
-            for _, p in accepted:
-                if p[: i + 1] == root and len(p) > i + 1:
-                    removed_edges.add((p[i], p[i + 1]))
-            removed_nodes = set(root[:-1])
-            res = _dijkstra(topo, spur, dst, removed_nodes, removed_edges)
+            removed_edges = {p[i:i + 2] for _, p in accepted if p[: i + 1] == root}
+            res = lexicographic_dijkstra(adj, root[-1], dst, root[:-1], removed_edges)
             if res is None:
                 continue
             spur_len, spur_path = res
             total = topo.path_length_km(root) + spur_len
-            full = tuple(root[:-1]) + tuple(spur_path)
+            full = root[:-1] + spur_path
             if full not in seen:
                 seen.add(full)
                 heapq.heappush(candidates, (total, full))
         if not candidates:
             break
-        length, path = heapq.heappop(candidates)
-        accepted.append((length, list(path)))
-    return tuple(tuple(p) for _, p in accepted)
+        accepted.append(heapq.heappop(candidates))
+    return tuple(p for _, p in accepted)

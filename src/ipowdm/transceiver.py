@@ -168,6 +168,25 @@ def plan_regeneration(link_lengths_km, mode: TransceiverMode) -> RegenPlan:
     return RegenPlan(tuple(boundaries), tuple(seg_lengths))
 
 
+def select_mode_min_regens(link_lengths_km, rate_gbps: int, catalog=DEFAULT_CATALOG):
+    """(mode, RegenPlan) for one channel of at least rate_gbps over the hops.
+
+    Fewest regenerations first, then the max-rate order of
+    :func:`select_mode_max_rate`, so a spare rate stays groomable.
+    """
+    best = None
+    for m in catalog:
+        if m.rate_gbps < rate_gbps or max(link_lengths_km) > m.reach_km:
+            continue
+        plan = plan_regeneration(link_lengths_km, m)
+        key = (plan.regen_count, _order_key(m))
+        if best is None or key < best[0]:
+            best = (key, m, plan)
+    if best is None:
+        raise NoFeasibleMode(f"no mode carries {rate_gbps}G over hops {link_lengths_km}")
+    return best[1], best[2]
+
+
 def min_regen_count(distance_km: float, mode: TransceiverMode) -> int:
     """Regens needed to span distance_km assuming OEO can be placed anywhere."""
     if distance_km <= 0:

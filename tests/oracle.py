@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .topology import Topology
-from .transceiver import DEFAULT_CATALOG, plan_regeneration
-from .traffic import Demand
+from ipowdm.topology import Topology
+from ipowdm.transceiver import DEFAULT_CATALOG, plan_regeneration
+from ipowdm.traffic import Demand
 
 
 class InstanceTooLarge(Exception):

@@ -15,15 +15,15 @@ import pytest
 
 import conftest
 from helpers import toy_instance
-from ipowdm.cli import main
-from ipowdm.dimensioning import network_cost
-from ipowdm.experiment import ExperimentConfig, average_rows, run_experiment, run_single
-from ipowdm.oracle import (
+from oracle import (
     Infeasible,
     exhaustive_min_channel_split,
     exhaustive_min_cost_provision,
     exhaustive_regen_min,
 )
+from ipowdm.cli import main
+from ipowdm.dimensioning import network_cost
+from ipowdm.experiment import ExperimentConfig, average_rows, run_experiment, run_single
 from ipowdm.rmsa import ARCH_NAMES, provision_all
 from ipowdm.topology import load_named_topology
 from ipowdm.traffic import load_scenario
@@ -239,7 +239,9 @@ def test_near_optimal_on_toy_instances():
 
 # The worst toy cases of the check above, pinned as (heuristic, oracle)
 # module cost: TrIP and TrIPandZR spend 4 cost units more than the oracle on
-# these three instances, and 24 / 20 sits exactly on the bound.
+# these three instances, and 24 / 20 sits exactly on the bound. The oracle
+# does not model spectrum: it prices modules as if every channel were free,
+# so its cost is a lower bound, not a plan the engine could always realize.
 TOY_GAP = {
     (13, "TrIP"): (24.0, 20.0),
     (13, "TrIPandZR"): (24.0, 20.0),

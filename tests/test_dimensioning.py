@@ -30,12 +30,6 @@ class TestPowerTable:
         with pytest.raises(ValueError):
             PowerTable(zr=-1.0)
 
-    def test_scaled_multiplies_every_entry(self):
-        doubled = PowerTable().scaled(2.0)
-        assert doubled.zr == 2.0
-        assert doubled.router_fixed == 100.0
-        assert doubled.monitoring_transparent_bidir == pytest.approx(1.8)
-
     def test_breakdown_total_is_category_sum(self):
         pb = PowerBreakdown(1.0, 2.0, 3.5)
         assert pb.total == 6.5

@@ -1,8 +1,7 @@
 import pytest
 
 from helpers import mk_topo, toy_instance
-from ipowdm.dimensioning import network_cost
-from ipowdm.oracle import (
+from oracle import (
     Infeasible,
     InstanceTooLarge,
     enumerate_simple_paths,
@@ -10,6 +9,7 @@ from ipowdm.oracle import (
     exhaustive_min_cost_provision,
     exhaustive_regen_min,
 )
+from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import provision_all
 from ipowdm.traffic import Demand, TrafficMatrix
 from ipowdm.transceiver import DEFAULT_CATALOG

@@ -3,15 +3,20 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import mk_topo, toy_instance
+from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
     ARCH_NAMES,
     ARCHITECTURES,
+    AuxEdge,
     BlockedError,
     NetworkState,
     PlannerConfig,
+    _GROOM,
+    _NEW,
+    _aux_shortest_path,
     _create_lightpath,
     build_auxiliary_graph,
     merge_pure_ip_regens,
@@ -137,6 +142,36 @@ class TestTransparentProvisioning:
         assert rates == [200, 400]
 
 
+# two 400G modes of equal power and different reach; the max-rate mode order
+# (`transceiver._order_key`) takes the longer reach
+TIED_POWER = (
+    TransceiverMode("ZR", "16QAM", 120, 400, 1.0, 1.0),
+    TransceiverMode("ZR+", "16QAM", 600, 400, 1.0, 2.0),
+)
+
+
+class TestModeTies:
+    # TrZR's minimum-channel split breaks the tie on module names instead
+    @pytest.mark.parametrize("arch,mode", [("OpIP", "ZR+"), ("TrIP", "ZR+"),
+                                           ("TrIPandZR", "ZR+"), ("TrZR", "ZR")])
+    def test_equal_power_tie(self, arch, mode):
+        topo = mk_topo("t", [("a", "b", 100)])
+        st = provision_all(topo, matrix(Demand("a", "b", 400)), arch, catalog=TIED_POWER)
+        assert [str(lp.mode) for lp in st.lightpaths.values()] == [f"{mode}/16QAM/400G"]
+
+    def test_regenerated_segments_use_the_same_order(self):
+        # 650 km needs a regen at b; the 100 km segment a-b is a tie
+        topo = mk_topo("t", [("a", "b", 100), ("b", "c", 550)])
+        trip = provision_all(topo, matrix(Demand("a", "c", 400)), "TrIP", catalog=TIED_POWER)
+        assert sorted((lp.route, str(lp.mode)) for lp in trip.lightpaths.values()) == [
+            (("a", "b"), "ZR+/16QAM/400G"), (("b", "c"), "ZR+/16QAM/400G")]
+        # same-mode segments, so the pure regen at b becomes a b2b pair
+        both = provision_all(topo, matrix(Demand("a", "c", 400)), "TrIPandZR",
+                             catalog=TIED_POWER)
+        (lp,) = both.lightpaths.values()
+        assert (lp.route, lp.b2b_regen_nodes) == (("a", "b", "c"), ("b",))
+
+
 class TestPureRegenMerge:
     def test_router_regens_become_back_to_back_pairs(self):
         st = provision(LINE_XLONG, "TrIPandZR", Demand("a", "c", 200))
@@ -180,8 +215,6 @@ class TestPureRegenMerge:
         assert merged and unmerged
 
     def test_module_tally_identical_to_trip(self):
-        from ipowdm.dimensioning import network_cost
-
         for seed in range(6):
             topo, m = toy_instance(seed)
             trip = network_cost(provision_all(topo, m, "TrIP"))
@@ -190,6 +223,24 @@ class TestPureRegenMerge:
             assert trip.zrplus_count == both.zrplus_count
             assert trip.module_cost == both.module_cost
             assert both.router_ports <= trip.router_ports
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.sampled_from([None, 1, 2]))
+@example(52, 1)  # merges, and blocks 4 demands
+@example(271, 2)  # merges without blocking
+def test_trip_and_zr_prices_pluggables_like_trip(seed, channels):
+    # the paper's "identical pluggable power": TrIPandZR routes like TrIP and
+    # only converts pure router regens into b2b pairs, also under blocking
+    topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
+    if channels is not None:
+        topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
+    trip = provision_all(topo, m, "TrIP")
+    both = provision_all(topo, m, "TrIPandZR")
+    assert both.blocked == trip.blocked
+    trip_cost, both_cost = network_cost(trip), network_cost(both)
+    assert (both_cost.zr_count, both_cost.zrplus_count) == (
+        trip_cost.zr_count, trip_cost.zrplus_count)
 
 
 class TestGrooming:
@@ -437,6 +488,28 @@ class TestCandidateMemo:
                             assert all((e.u, e.v) == (u, v) for e in alts)
                             order = [(e.weight, e.kind, e.lp_id, e.subpath) for e in alts]
                             assert all(a < b for a, b in zip(order, order[1:])), order
+
+
+class TestAuxShortestPath:
+    def test_equal_weights_resolve_on_nodes_then_alternative_order(self):
+        def edge(u, v, weight, kind=_NEW, lp_id=-1):
+            return AuxEdge(weight, kind, lp_id, () if kind == _GROOM else (u, v), u, v)
+
+        # a-b-d, a-c-d and a-d all weigh 2; (a, b) holds a grooming and a
+        # candidate edge of equal weight, and the grooming edge sorts first
+        edges = {
+            ("a", "d"): [edge("a", "d", 2.0)],
+            ("a", "c"): [edge("a", "c", 1.0)],
+            ("c", "d"): [edge("c", "d", 1.0)],
+            ("a", "b"): [edge("a", "b", 1.0, _GROOM, 7), edge("a", "b", 1.0)],
+            ("b", "d"): [edge("b", "d", 1.0)],
+        }
+        for graph in (edges, dict(reversed(list(edges.items())))):
+            path = _aux_shortest_path(graph, "a", "d")
+            assert path == [edges[("a", "b")][0], edges[("b", "d")][0]]
+        del edges[("a", "b")]
+        assert _aux_shortest_path(edges, "a", "d") == edges[("a", "c")] + edges[("c", "d")]
+        assert _aux_shortest_path(edges, "d", "a") is None
 
 
 @settings(deadline=None, max_examples=40)

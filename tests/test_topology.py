@@ -1,19 +1,20 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import mk_topo, toy_instance
-from ipowdm.oracle import enumerate_simple_paths
+from oracle import enumerate_simple_paths
 from ipowdm.topology import (
     ChannelGrid,
     Link,
     Topology,
     TopologyError,
     k_shortest_paths,
+    lexicographic_dijkstra,
     load_topology,
     parse_topology,
-    shortest_path,
 )
 
 
@@ -144,9 +145,6 @@ class TestShortestPaths:
         paths = k_shortest_paths(TRIANGLE, "A", "C", 2)
         assert paths == [["A", "B", "C"], ["A", "C"]]
 
-    def test_shortest_path_wrapper(self):
-        assert shortest_path(TRIANGLE, "A", "C") == ["A", "B", "C"]
-
     def test_same_endpoints_rejected(self):
         with pytest.raises(TopologyError):
             k_shortest_paths(TRIANGLE, "A", "A", 1)
@@ -204,3 +202,61 @@ class TestShortestPaths:
                 expected = enumerate_simple_paths(topo, src, dst)
                 got = k_shortest_paths(topo, src, dst, len(expected) + 5)
                 assert got == expected
+
+
+def _reversed_adjacency(adj):
+    return {u: dict(reversed(list(nbrs.items()))) for u, nbrs in reversed(list(adj.items()))}
+
+
+def _brute_force_shortest(adj, src, dst, settled=(), removed_edges=()):
+    """Min (dist, path) over every simple path that avoids the exclusions."""
+    best = None
+    stack = [(0.0, (src,))]
+    while stack:
+        dist, path = stack.pop()
+        if path[-1] == dst:
+            if best is None or (dist, path) < best:
+                best = (dist, path)
+            continue
+        for nbr, weight in adj.get(path[-1], {}).items():
+            if nbr not in path and nbr not in settled and (path[-1], nbr) not in removed_edges:
+                stack.append((dist + weight, path + (nbr,)))
+    return best
+
+
+class TestLexicographicDijkstra:
+    # three a -> d routes of length 2 and one of length 3
+    DIAMOND = {
+        "a": {"d": 2.0, "c": 1.0, "b": 1.0, "e": 1.0},
+        "b": {"d": 1.0},
+        "c": {"d": 1.0},
+        "e": {"d": 2.0},
+    }
+
+    def test_ties_break_on_node_sequence_in_any_insertion_order(self):
+        for adj in (self.DIAMOND, _reversed_adjacency(self.DIAMOND)):
+            assert lexicographic_dijkstra(adj, "a", "d") == (2.0, ("a", "b", "d"))
+
+    def test_settled_nodes_and_removed_edges_are_never_used(self):
+        search = lexicographic_dijkstra
+        assert search(self.DIAMOND, "a", "d", {"b"}) == (2.0, ("a", "c", "d"))
+        assert search(self.DIAMOND, "a", "d", {"b", "c"}) == (2.0, ("a", "d"))
+        assert search(self.DIAMOND, "a", "d", (), {("a", "b"), ("c", "d")}) == (2.0, ("a", "d"))
+        assert search(self.DIAMOND, "a", "d", {"b", "c"}, {("a", "d")}) == (3.0, ("a", "e", "d"))
+        assert search(self.DIAMOND, "a", "d", {"e"}, {("a", "b"), ("a", "c"), ("a", "d")}) is None
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 10_000))
+    def test_matches_brute_force_on_weighted_digraphs(self, seed):
+        # small integer weights on a dense digraph give many equal-length routes
+        rng = random.Random(seed)
+        nodes = [f"v{i}" for i in range(rng.randint(3, 6))]
+        adj = {u: {v: float(rng.randint(1, 3)) for v in nodes if v != u and rng.random() < 0.6}
+               for u in nodes}
+        src, dst = rng.sample(nodes, 2)
+        settled = set(rng.sample([n for n in nodes if n not in (src, dst)], rng.randint(0, 1)))
+        edges = [(u, v) for u in adj for v in adj[u]]
+        removed = set(rng.sample(edges, min(len(edges), rng.randint(0, 2))))
+        expected = _brute_force_shortest(adj, src, dst, settled, removed)
+        for graph in (adj, _reversed_adjacency(adj)):
+            assert lexicographic_dijkstra(graph, src, dst, settled, removed) == expected

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ipowdm.oracle import (
+from oracle import (
     Infeasible,
     exhaustive_min_channel_split,
     exhaustive_regen_min,
@@ -21,6 +21,7 @@ from ipowdm.transceiver import (
     min_regen_count,
     plan_regeneration,
     select_mode_max_rate,
+    select_mode_min_regens,
     select_modes_min_channels,
 )
 
@@ -136,6 +137,28 @@ class TestModeSelection:
         rates = [m.rate_gbps for m in modes]
         assert rates == sorted(rates, reverse=True)
         assert modes[0].module == "ZR"
+
+    @pytest.mark.parametrize(
+        "hops,rate,expected,boundaries",
+        [
+            ([100], 100, ("ZR", "16QAM", 400), ()),
+            # fewer regens beat a higher rate
+            ([500, 500], 300, ("ZR+", "8QAM", 300), ()),
+            ([500, 500], 400, ("ZR+", "16QAM", 400), (1,)),
+            ([1500, 1500], 100, ("ZR+", "QPSK", 200), ()),
+        ],
+    )
+    def test_min_regens_then_max_rate(self, hops, rate, expected, boundaries):
+        mode, plan = select_mode_min_regens(hops, rate)
+        assert mode.key == expected
+        assert plan == plan_regeneration(hops, mode)
+        assert plan.boundaries == boundaries
+
+    def test_min_regens_needs_a_mode_over_every_hop(self):
+        with pytest.raises(NoFeasibleMode):
+            select_mode_min_regens([700, 100], 400)
+        with pytest.raises(NoFeasibleMode):
+            select_mode_min_regens([3100], 100)
 
 
 class TestRegeneration:
