@@ -108,7 +108,7 @@ class NodeEquipment:
     oa: int = 0
     adb: int = 0
     monitoring_units: int = 0
-    monitoring_kind: str = "opaque"  # "opaque" | "transparent"
+    transparent: bool = False  # ROADM node with optical bypass
     shelves: int = 0
 
 
@@ -154,23 +154,19 @@ def _module_tallies(state: NetworkState):
 def dimension_node(
     node: str,
     state: NetworkState,
+    plugged: dict[str, int],
+    b2b: dict[str, int],
     cfg: DimensioningConfig = DimensioningConfig(),
-    plugged=None,
-    b2b=None,
 ) -> NodeEquipment:
-    if plugged is None or b2b is None:
-        all_plugged, all_b2b = _module_tallies(state)
-        plugged, b2b = all_plugged[node], all_b2b[node]
+    """Equipment of one node, given its plugged and b2b module counts by module."""
     degree = state.topology.degree(node)
-    transparent = state.arch.optical_bypass
-    eq = NodeEquipment(node=node, router_chassis=1)
+    eq = NodeEquipment(node=node, router_chassis=1, transparent=state.arch.optical_bypass)
     eq.plugged_zr = plugged["ZR"]
     eq.plugged_zrplus = plugged["ZR+"]
     eq.b2b_zr = b2b["ZR"]
     eq.b2b_zrplus = b2b["ZR+"]
     eq.router_ports = eq.plugged_zr + eq.plugged_zrplus
-    if transparent:
-        eq.monitoring_kind = "transparent"
+    if eq.transparent:
         eq.iroadm = degree
         eq.monitoring_units = degree
         banks = math.ceil(degree * state.topology.grid.channel_count / cfg.adb_capacity)
@@ -183,7 +179,6 @@ def dimension_node(
             + eq.monitoring_units * cfg.monitoring_slots
         )
     else:
-        eq.monitoring_kind = "opaque"
         eq.awg = 2 * degree   # mux + demux per direction
         eq.oa = 2 * degree
         eq.monitoring_units = degree
@@ -195,18 +190,14 @@ def dimension_node(
 def dimension_network(state: NetworkState, cfg: DimensioningConfig = DimensioningConfig()):
     plugged, b2b = _module_tallies(state)
     return {
-        n: dimension_node(n, state, cfg, plugged[n], b2b[n]) for n in state.topology.nodes
+        n: dimension_node(n, state, plugged[n], b2b[n], cfg) for n in state.topology.nodes
     }
 
 
 def power_of(eq: NodeEquipment, pt: PowerTable = PowerTable()) -> PowerBreakdown:
     zr = (eq.plugged_zr + eq.b2b_zr) * pt.zr + (eq.plugged_zrplus + eq.b2b_zrplus) * pt.zr_plus
     ip = pt.router_fixed * eq.router_chassis + pt.router_modular_per_port * eq.router_ports
-    mon_unit = (
-        pt.monitoring_transparent_bidir
-        if eq.monitoring_kind == "transparent"
-        else pt.monitoring_opaque_bidir
-    )
+    mon_unit = pt.monitoring_transparent_bidir if eq.transparent else pt.monitoring_opaque_bidir
     optical = (
         pt.shelf * eq.shelves
         + pt.iroadm_bidir * eq.iroadm

@@ -22,7 +22,6 @@ open new lightpaths at physical length plus a small per-lightpath penalty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import pairwise
 from typing import NamedTuple
@@ -158,7 +157,7 @@ class NetworkState:
 
     # -- helpers -------------------------------------------------------------
 
-    def paths(self, src: str, dst: str) -> list[list[str]]:
+    def paths(self, src: str, dst: str) -> tuple[tuple[str, ...], ...]:
         return k_shortest_paths(self.topology, src, dst, self.cfg.k)
 
     def new_lp_id(self) -> int:
@@ -267,9 +266,9 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
     else:
         paths = state.paths(src, dst)
         if shape == _END_TO_END:
-            subpaths = [tuple(p) for p in paths]
+            subpaths = paths
         else:
-            subpaths = dict.fromkeys(tuple(p[i:j + 1]) for p in paths
+            subpaths = dict.fromkeys(p[i:j + 1] for p in paths
                                      for i in range(len(p) - 1)
                                      for j in range(i + 1, len(p)))
         base = state._new_lp_penalty
@@ -407,11 +406,9 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
     topo = state.topology
     lengths = topo.path_link_lengths(edge.subpath)
     if not state.arch.ip_regeneration:
-        modes = select_modes_min_channels(rate, sum(lengths), state.catalog, lengths)
         remaining = rate
-        for m in modes:
-            plan = plan_regeneration(lengths, m)
-            b2b = tuple(edge.subpath[i] for i in plan.boundaries)
+        for m in select_modes_min_channels(lengths, rate, state.catalog):
+            b2b = tuple(edge.subpath[i] for i in plan_regeneration(lengths, m))
             lp = _create_lightpath(state, edge.subpath, m, b2b)
             amount = min(remaining, m.rate_gbps)
             lp.carry(flow_id, amount)
@@ -419,14 +416,14 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
             placements.append((lp.id, amount))
         return
 
-    mode, plan = select_mode_min_regens(lengths, rate, state.catalog)
-    if plan.regen_count == 0:
+    mode, boundaries = select_mode_min_regens(lengths, rate, state.catalog)
+    if not boundaries:
         lp = _create_lightpath(state, edge.subpath, mode, ())
         lp.carry(flow_id, rate)
         placements.append((lp.id, rate))
         return
     # IP regeneration: terminate at routers; each segment is its own lightpath
-    cuts = [0] + list(plan.boundaries) + [len(edge.subpath) - 1]
+    cuts = [0, *boundaries, len(edge.subpath) - 1]
     for a, b in zip(cuts, cuts[1:]):
         seg = edge.subpath[a:b + 1]
         seg_mode = select_mode_max_rate(topo.path_length_km(seg), state.catalog)
@@ -488,10 +485,7 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
     if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return False
     chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
-    direct = state.paths(flow.src, flow.dst)
-    if not direct:
-        return False
-    if chain_km > state.topology.path_length_km(direct[0]):
+    if chain_km > state.topology.path_length_km(state.paths(flow.src, flow.dst)[0]):
         return False
     # every edge grooms a lightpath whose residual was checked when the
     # graph was built, so placing the chain cannot fail
@@ -532,18 +526,16 @@ def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:
     """Inverse-multiplexing split for demands above one channel's capacity.
 
     Greedy fill with the highest rate feasible without regeneration over the
-    shortest physical path, so sub-flows ride single lightpaths where the
-    reach allows it.
+    shortest physical path (the catalog's top rate when no mode spans it), so
+    sub-flows ride single lightpaths where the reach allows it.
     """
     if not state.arch.ip_regeneration:
         return [demand.rate_gbps]  # min-channel split handled at realization
-    paths = state.paths(demand.src, demand.dst)
-    unit = max(m.rate_gbps for m in state.catalog)
-    if paths:
-        dist = state.topology.path_length_km(paths[0])
-        reachable = [m.rate_gbps for m in state.catalog if m.reach_km >= dist]
-        if reachable:
-            unit = max(reachable)
+    dist = state.topology.path_length_km(state.paths(demand.src, demand.dst)[0])
+    try:
+        unit = select_mode_max_rate(dist, state.catalog).rate_gbps
+    except NoFeasibleMode:
+        unit = max(m.rate_gbps for m in state.catalog)
     rates = []
     remaining = demand.rate_gbps
     while remaining > 0:
@@ -671,8 +663,7 @@ def provision_all(
     # Stage 2: shortest parked flows first, so longer ones can chain over the
     # short lightpaths these create in addition to the stage-1 mesh.
     def _deferred_km(item: tuple[Demand, FlowRecord]) -> float:
-        paths = state.paths(item[1].src, item[1].dst)
-        return topo.path_length_km(paths[0]) if paths else math.inf
+        return topo.path_length_km(state.paths(item[1].src, item[1].dst)[0])
 
     for demand, flow in sorted(deferred, key=_deferred_km):
         if demand.key not in state.records:

@@ -252,12 +252,14 @@ def lexicographic_dijkstra(adj, src, dst, settled=(), removed_edges=()):
     return None
 
 
-def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[str]]:
+def k_shortest_paths(
+    topo: Topology, src: str, dst: str, k: int
+) -> tuple[tuple[str, ...], ...]:
     """Up to k loop-free paths, ascending (length, lexicographic) via Yen's algorithm.
 
-    Results are memoized on ``topo`` per (src, dst, k); arguments are checked
-    on a miss only, as bad ones never enter the memo. Each call returns fresh
-    lists.
+    Results are memoized on ``topo`` per (src, dst, k) and returned as the
+    memo's own immutable tuples; arguments are checked on a miss only, as bad
+    ones never enter the memo.
     """
     key = (src, dst, k)
     paths = topo._ksp_memo.get(key)
@@ -269,7 +271,7 @@ def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> list[list[st
         if k < 1:
             raise TopologyError(f"k must be >= 1, got {k}")
         paths = topo._ksp_memo[key] = _yen(topo, src, dst, k)
-    return [list(p) for p in paths]
+    return paths
 
 
 def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:

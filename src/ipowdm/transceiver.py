@@ -81,9 +81,6 @@ DEFAULT_CATALOG: tuple[TransceiverMode, ...] = (
     TransceiverMode("ZR+", "QPSK", 3000, 100, 1.3, 2.0),
 )
 
-MAX_REACH_KM = max(m.reach_km for m in DEFAULT_CATALOG)
-
-
 def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
     """Read ``{"modes": [{<every TransceiverMode field>}, ...]}``; raises CatalogError."""
     doc = json.loads(Path(path).read_text())
@@ -128,48 +125,29 @@ def select_mode_max_rate(distance_km: float, catalog=DEFAULT_CATALOG) -> Transce
     return modes[0]
 
 
-@dataclass(frozen=True)
-class RegenPlan:
-    """Segmentation of a path into transparent reaches.
-
-    ``boundaries`` are indices into the path's node sequence where an OEO
-    regeneration occurs (interior positions, in path order). ``segment_lengths``
-    has one entry per transparent segment.
-    """
-
-    boundaries: tuple[int, ...]
-    segment_lengths: tuple[float, ...]
-
-    @property
-    def regen_count(self) -> int:
-        return len(self.boundaries)
-
-
-def plan_regeneration(link_lengths_km, mode: TransceiverMode) -> RegenPlan:
+def plan_regeneration(link_lengths_km, mode: TransceiverMode) -> tuple[int, ...]:
     """Greedy farthest-feasible OEO placement; minimal for a fixed mode.
 
     Walks the path accumulating length and inserts a regen at the last node
-    where the running segment still fits the reach.
+    where the running segment still fits the reach. Returns the indices into
+    the path's node sequence where an OEO regeneration occurs (interior
+    positions, in path order).
     """
+    boundaries = []
+    running = 0.0
     for i, length in enumerate(link_lengths_km):
         if length > mode.reach_km:
             raise LinkExceedsReach(i, length, mode.reach_km)
-    boundaries = []
-    seg_lengths = []
-    running = 0.0
-    for i, length in enumerate(link_lengths_km):
         if running + length > mode.reach_km:
             boundaries.append(i)
-            seg_lengths.append(running)
             running = length
         else:
             running += length
-    seg_lengths.append(running)
-    return RegenPlan(tuple(boundaries), tuple(seg_lengths))
+    return tuple(boundaries)
 
 
 def select_mode_min_regens(link_lengths_km, rate_gbps: int, catalog=DEFAULT_CATALOG):
-    """(mode, RegenPlan) for one channel of at least rate_gbps over the hops.
+    """(mode, regen boundaries) for one channel of at least rate_gbps over the hops.
 
     Fewest regenerations first, then the max-rate order of
     :func:`select_mode_max_rate`, so a spare rate stays groomable.
@@ -178,70 +156,44 @@ def select_mode_min_regens(link_lengths_km, rate_gbps: int, catalog=DEFAULT_CATA
     for m in catalog:
         if m.rate_gbps < rate_gbps or max(link_lengths_km) > m.reach_km:
             continue
-        plan = plan_regeneration(link_lengths_km, m)
-        key = (plan.regen_count, _order_key(m))
+        boundaries = plan_regeneration(link_lengths_km, m)
+        key = (len(boundaries), _order_key(m))
         if best is None or key < best[0]:
-            best = (key, m, plan)
+            best = (key, m, boundaries)
     if best is None:
         raise NoFeasibleMode(f"no mode carries {rate_gbps}G over hops {link_lengths_km}")
     return best[1], best[2]
 
 
-def min_regen_count(distance_km: float, mode: TransceiverMode) -> int:
-    """Regens needed to span distance_km assuming OEO can be placed anywhere."""
-    if distance_km <= 0:
-        return 0
-    return max(0, math.ceil(distance_km / mode.reach_km) - 1)
+def select_modes_min_channels(link_lengths_km, rate_gbps: int, catalog=DEFAULT_CATALOG):
+    """Multiset of modes covering rate_gbps over the hops in the fewest parallel channels.
 
-
-def _usable_modes(distance_km, catalog, link_lengths):
-    """Modes usable on the path when back-to-back regeneration is available,
-    with the regen count each would need."""
-    out = []
-    for m in catalog:
-        if link_lengths is not None:
-            if max(link_lengths, default=0.0) > m.reach_km:
-                continue
-            regens = plan_regeneration(link_lengths, m).regen_count
-        else:
-            regens = min_regen_count(distance_km, m)
-        out.append((m, regens))
-    return out
-
-
-def select_modes_min_channels(
-    rate_gbps: int,
-    distance_km: float,
-    catalog=DEFAULT_CATALOG,
-    link_lengths=None,
-) -> list[TransceiverMode]:
-    """Multiset of modes covering rate_gbps in the fewest parallel channels.
-
-    Ties resolved by fewer total regenerators on the path, then lower total
-    power. If ``link_lengths`` is given, regen feasibility and counts follow
-    the actual hop lengths; otherwise regens are assumed placeable anywhere.
+    Each mode regenerates back to back where :func:`plan_regeneration` puts
+    it. Ties go to fewer total regenerators, lower total power, lower total
+    rate and a higher top rate, then to the combination's sorted
+    :func:`_order_key`, the order every other mode choice uses.
     """
     if rate_gbps <= 0:
         raise ValueError(f"rate must be positive, got {rate_gbps}")
-    usable = _usable_modes(distance_km, catalog, link_lengths)
+    longest = max(link_lengths_km)
+    usable = [(m, len(plan_regeneration(link_lengths_km, m)))
+              for m in catalog if m.reach_km >= longest]
     if not usable:
-        raise NoFeasibleMode(
-            f"no mode usable over {distance_km} km even with regeneration"
-        )
+        raise NoFeasibleMode(f"no mode usable over hops {link_lengths_km} even with regeneration")
     max_needed = -(-rate_gbps // min(m.rate_gbps for m, _ in usable))
     for count in range(1, max_needed + 1):
         best = None
         for combo in itertools.combinations_with_replacement(usable, count):
-            if sum(m.rate_gbps for m, _ in combo) < rate_gbps:
-                continue
-            regens = sum(r for _, r in combo)
-            power = sum(m.power_units * (2 + 2 * r) for m, r in combo)
             total_rate = sum(m.rate_gbps for m, _ in combo)
-            max_rate = max(m.rate_gbps for m, _ in combo)
-            names = tuple(sorted(m.key for m, _ in combo))
-            cand = (regens, power, total_rate, -max_rate, names, combo)
-            if best is None or cand[:5] < best[:5]:
-                best = cand
+            if total_rate < rate_gbps:
+                continue
+            key = (sum(r for _, r in combo),
+                   sum(m.power_units * (2 + 2 * r) for m, r in combo),
+                   total_rate,
+                   -max(m.rate_gbps for m, _ in combo),
+                   sorted(_order_key(m) for m, _ in combo))
+            if best is None or key < best[0]:
+                best = (key, combo)
         if best is not None:
-            return sorted((m for m, _ in best[5]), key=_order_key)
-    raise NoFeasibleMode(f"cannot cover {rate_gbps} Gb/s over {distance_km} km")
+            return sorted((m for m, _ in best[1]), key=_order_key)
+    raise NoFeasibleMode(f"cannot cover {rate_gbps} Gb/s over hops {link_lengths_km}")

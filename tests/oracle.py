@@ -124,7 +124,7 @@ def _pack_factory(catalog, allow_b2b):
             if allow_b2b:
                 if max(route_lengths) > m.reach_km:
                     continue
-                regens = plan_regeneration(route_lengths, m).regen_count
+                regens = len(plan_regeneration(route_lengths, m))
             else:
                 if sum(route_lengths) > m.reach_km:
                     continue

@@ -269,21 +269,23 @@ def test_exact_match_on_enumeration_lattices():
             for lengths in itertools.product(lengths_pool, repeat=n_links):
                 oracle = exhaustive_regen_min(list(lengths), mode.reach_km)
                 try:
-                    mine = plan_regeneration(list(lengths), mode).regen_count
+                    mine = len(plan_regeneration(lengths, mode))
                 except LinkExceedsReach:
                     mine = None
                 mismatches += mine != oracle
     for rate in (100, 200, 300, 400, 500, 600):
-        for dist in range(100, 3001, 100):
-            try:
-                oracle_count, _ = exhaustive_min_channel_split(rate, dist)
-            except Infeasible:
-                oracle_count = None
-            try:
-                mine = len(select_modes_min_channels(rate, dist))
-            except NoFeasibleMode:
-                mine = None
-            mismatches += mine != oracle_count
+        for n_links in range(1, 5):
+            for lengths in itertools.product(lengths_pool, repeat=n_links):
+                try:
+                    oracle_count, _ = exhaustive_min_channel_split(
+                        rate, sum(lengths), link_lengths=lengths)
+                except Infeasible:
+                    oracle_count = None
+                try:
+                    mine = len(select_modes_min_channels(lengths, rate))
+                except NoFeasibleMode:
+                    mine = None
+                mismatches += mine != oracle_count
     record(
         "regen placement and channel splits match exhaustive enumeration",
         mismatches == 0,

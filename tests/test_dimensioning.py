@@ -8,7 +8,6 @@ from ipowdm.dimensioning import (
     PowerBreakdown,
     PowerTable,
     dimension_network,
-    dimension_node,
     load_power_config,
     network_cost,
     network_power,
@@ -76,9 +75,9 @@ class TestPowerTable:
 class TestNodeDimensioning:
     def test_transparent_node_counts(self):
         state = provisioned("TrIP")
-        eq = dimension_node("b", state)
+        eq = dimension_network(state)["b"]
         # degree 2, 10-channel grid: 2 I-ROADMs, full add/drop in one bank
-        assert eq.monitoring_kind == "transparent"
+        assert eq.transparent
         assert eq.iroadm == 2
         assert eq.monitoring_units == 2
         assert eq.adb == eq.awg == eq.oa == 1
@@ -89,8 +88,8 @@ class TestNodeDimensioning:
 
     def test_opaque_node_counts(self):
         state = provisioned("OpIP")
-        eq = dimension_node("b", state)
-        assert eq.monitoring_kind == "opaque"
+        eq = dimension_network(state)["b"]
+        assert not eq.transparent
         assert eq.iroadm == 0
         assert eq.awg == 4  # mux + demux per direction on both links
         assert eq.oa == 4

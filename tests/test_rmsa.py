@@ -151,9 +151,9 @@ TIED_POWER = (
 
 
 class TestModeTies:
-    # TrZR's minimum-channel split breaks the tie on module names instead
+    # every architecture, TrZR's minimum-channel split included, takes the longer reach
     @pytest.mark.parametrize("arch,mode", [("OpIP", "ZR+"), ("TrIP", "ZR+"),
-                                           ("TrIPandZR", "ZR+"), ("TrZR", "ZR")])
+                                           ("TrIPandZR", "ZR+"), ("TrZR", "ZR+")])
     def test_equal_power_tie(self, arch, mode):
         topo = mk_topo("t", [("a", "b", 100)])
         st = provision_all(topo, matrix(Demand("a", "b", 400)), arch, catalog=TIED_POWER)
@@ -553,8 +553,9 @@ def test_provisioning_invariants(seed, arch):
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
 def test_audit_holds_under_blocking_and_undo(seed, channels):
     # one or two channels make many demands block, which runs the chain
-    # rollback in _place_chain, the revert of _create_lightpath and
-    # _unplace_demand; audit() then checks the bookkeeping they restore
+    # rollback in _place_chain and the release of a blocked demand's placed
+    # sub-flows through _release; audit() then checks the bookkeeping they
+    # restore, and the asserts below what the kept lightpaths and demands hold
     topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
     topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
     for arch in ARCH_NAMES:
@@ -563,3 +564,9 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
         assert len(state.records) + len(state.blocked) == len(m.demands)
         for lp in state.lightpaths.values():
             assert lp.length_km == topo.path_length_km(lp.route)
+            for seg in lp.segments:
+                assert topo.path_length_km(seg.nodes) <= lp.mode.reach_km
+        for demand in m.demands:
+            if demand.key in state.records:
+                flows = state.records[demand.key]
+                assert sum(f.rate_gbps for f in flows) == demand.rate_gbps

@@ -143,7 +143,7 @@ class TestSerialization:
 class TestShortestPaths:
     def test_two_hop_beats_longer_direct(self):
         paths = k_shortest_paths(TRIANGLE, "A", "C", 2)
-        assert paths == [["A", "B", "C"], ["A", "C"]]
+        assert paths == (("A", "B", "C"), ("A", "C"))
 
     def test_same_endpoints_rejected(self):
         with pytest.raises(TopologyError):
@@ -166,15 +166,15 @@ class TestShortestPaths:
             "sq", [("a", "b", 1), ("b", "d", 1), ("a", "c", 1), ("c", "d", 1)]
         )
         paths = k_shortest_paths(square, "a", "d", 2)
-        assert paths == [["a", "b", "d"], ["a", "c", "d"]]
+        assert paths == (("a", "b", "d"), ("a", "c", "d"))
 
-    def test_memo_returns_equal_fresh_lists(self):
+    def test_memo_returns_equal_immutable_results(self):
         topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1), ("a", "c", 3)])
         first = k_shortest_paths(topo, "a", "c", 2)
-        first[0].append("z")
-        first.append(["a", "z"])
-        assert k_shortest_paths(topo, "a", "c", 2) == [["a", "b", "c"], ["a", "c"]]
-        assert k_shortest_paths(topo, "a", "c", 2) == k_shortest_paths(topo, "a", "c", 2)
+        # a tuple never equals a list, so this also pins the immutable type
+        assert first == (("a", "b", "c"), ("a", "c"))
+        # every call shares the memo entry instead of copying it
+        assert k_shortest_paths(topo, "a", "c", 2) is first
 
     def test_bad_arguments_rejected_on_warm_topology(self):
         topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1)])
@@ -201,7 +201,7 @@ class TestShortestPaths:
                     continue
                 expected = enumerate_simple_paths(topo, src, dst)
                 got = k_shortest_paths(topo, src, dst, len(expected) + 5)
-                assert got == expected
+                assert got == tuple(map(tuple, expected))
 
 
 def _reversed_adjacency(adj):

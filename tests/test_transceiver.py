@@ -11,14 +11,12 @@ from oracle import (
 )
 from ipowdm.transceiver import (
     DEFAULT_CATALOG,
-    MAX_REACH_KM,
     CatalogError,
     LinkExceedsReach,
     NoFeasibleMode,
     TransceiverMode,
     feasible_modes,
     load_catalog,
-    min_regen_count,
     plan_regeneration,
     select_mode_max_rate,
     select_mode_min_regens,
@@ -28,6 +26,9 @@ from ipowdm.transceiver import (
 
 ZR_ROW = {"module": "ZR", "modulation": "16QAM", "reach_km": 120, "rate_gbps": 400,
           "power_units": 1.0, "cost_units": 1.0}
+
+# hop lengths of the exhaustive-enumeration lattices
+LENGTHS_POOL = (100, 300, 500, 600, 900, 1200)
 
 
 class TestCatalog:
@@ -44,7 +45,7 @@ class TestCatalog:
         )
         assert table[("ZR", "16QAM", 400)].cost_units == 1.0
         assert all(m.cost_units == 2.0 for m in DEFAULT_CATALOG if m.module == "ZR+")
-        assert MAX_REACH_KM == 3000
+        assert max(m.reach_km for m in DEFAULT_CATALOG) == 3000
 
     def test_shipped_catalog_file_matches_default(self):
         from importlib import resources
@@ -149,10 +150,9 @@ class TestModeSelection:
         ],
     )
     def test_min_regens_then_max_rate(self, hops, rate, expected, boundaries):
-        mode, plan = select_mode_min_regens(hops, rate)
+        mode, got = select_mode_min_regens(hops, rate)
         assert mode.key == expected
-        assert plan == plan_regeneration(hops, mode)
-        assert plan.boundaries == boundaries
+        assert got == plan_regeneration(hops, mode) == boundaries
 
     def test_min_regens_needs_a_mode_over_every_hop(self):
         with pytest.raises(NoFeasibleMode):
@@ -164,38 +164,25 @@ class TestModeSelection:
 class TestRegeneration:
     def test_three_long_hops_need_two_regens(self):
         mode = select_mode_max_rate(600)
-        plan = plan_regeneration([500, 500, 500], mode)
-        assert plan.regen_count == 2
-        assert plan.boundaries == (1, 2)
-        assert plan.segment_lengths == (500, 500, 500)
+        assert plan_regeneration([500, 500, 500], mode) == (1, 2)
 
     def test_hops_packed_greedily(self):
         mode = select_mode_max_rate(600)
-        plan = plan_regeneration([200, 200, 300, 500], mode)
-        assert plan.boundaries == (2, 3)
-        assert plan.segment_lengths == (400, 300, 500)
+        # segments of 400, 300 and 500 km
+        assert plan_regeneration([200, 200, 300, 500], mode) == (2, 3)
 
     def test_single_link_beyond_reach_raises(self):
         with pytest.raises(LinkExceedsReach):
             plan_regeneration([700], select_mode_max_rate(600))
 
-    def test_min_regen_count_boundaries(self):
-        mode = select_mode_max_rate(600)
-        assert min_regen_count(600, mode) == 0
-        assert min_regen_count(601, mode) == 1
-        assert min_regen_count(1200, mode) == 1
-        assert min_regen_count(1201, mode) == 2
-        assert min_regen_count(0, mode) == 0
-
     def test_greedy_placement_is_minimal_on_lattice(self):
         """Exhaustive interior-subset enumeration agrees on every case."""
-        lengths_pool = (100, 300, 500, 600, 900, 1200)
         for mode in DEFAULT_CATALOG:
             for n_links in range(1, 5):
-                for lengths in itertools.product(lengths_pool, repeat=n_links):
+                for lengths in itertools.product(LENGTHS_POOL, repeat=n_links):
                     oracle = exhaustive_regen_min(list(lengths), mode.reach_km)
                     try:
-                        mine = plan_regeneration(list(lengths), mode).regen_count
+                        mine = len(plan_regeneration(lengths, mode))
                     except LinkExceedsReach:
                         mine = None
                     assert mine == oracle, (lengths, mode.key)
@@ -203,51 +190,53 @@ class TestRegeneration:
 
 class TestMinChannelSplit:
     def test_single_channel_when_rate_fits(self):
-        assert [m.key for m in select_modes_min_channels(400, 500)] == [
+        assert [m.key for m in select_modes_min_channels([500], 400)] == [
             ("ZR+", "16QAM", 400)
         ]
 
     def test_600g_short_distance_splits_into_two(self):
-        modes = select_modes_min_channels(600, 500)
+        modes = select_modes_min_channels([500], 600)
         assert sorted(m.rate_gbps for m in modes) == [200, 400]
 
     def test_channel_count_beats_regen_count(self):
         # 400G over 1000 km: a single 16QAM channel with one regen wins over a
         # regen-free 300+100 split, because channel count is minimized first
-        modes = select_modes_min_channels(400, 1000)
+        modes = select_modes_min_channels([500, 500], 400)
         assert len(modes) == 1 and modes[0].key == ("ZR+", "16QAM", 400)
 
     def test_link_lengths_constrain_regen_sites(self):
         # a single 1000 km hop cannot host an intermediate regen, so the
         # 16QAM-plus-regen option disappears and a two-channel split remains
-        modes = select_modes_min_channels(400, 1000, link_lengths=[1000])
+        modes = select_modes_min_channels([1000], 400)
         assert sorted(m.rate_gbps for m in modes) == [100, 300]
-        # with a node at 500 km the regen site exists again
-        modes = select_modes_min_channels(400, 1000, link_lengths=[500, 500])
-        assert len(modes) == 1 and modes[0].key == ("ZR+", "16QAM", 400)
+        # no mode spans a 3100 km hop, whatever the regeneration
+        with pytest.raises(NoFeasibleMode):
+            select_modes_min_channels([3100], 100)
 
     def test_rate_must_be_positive(self):
         with pytest.raises(ValueError):
-            select_modes_min_channels(0, 100)
+            select_modes_min_channels([100], 0)
 
     def test_channel_count_minimal_on_full_lattice(self):
-        """Exhaustive split enumeration agrees for all rates and distances."""
+        """Exhaustive split enumeration agrees for all rates and hop lattices."""
         for rate in (100, 200, 300, 400, 500, 600):
-            for dist in range(100, 3001, 100):
-                try:
-                    oracle_count, _ = exhaustive_min_channel_split(rate, dist)
-                except Infeasible:
-                    oracle_count = None
-                try:
-                    mine = len(select_modes_min_channels(rate, dist))
-                except NoFeasibleMode:
-                    mine = None
-                assert mine == oracle_count, (rate, dist)
+            for n_links in range(1, 5):
+                for lengths in itertools.product(LENGTHS_POOL, repeat=n_links):
+                    try:
+                        oracle_count, _ = exhaustive_min_channel_split(
+                            rate, sum(lengths), link_lengths=lengths)
+                    except Infeasible:
+                        oracle_count = None
+                    try:
+                        mine = len(select_modes_min_channels(lengths, rate))
+                    except NoFeasibleMode:
+                        mine = None
+                    assert mine == oracle_count, (rate, lengths)
 
     def test_covers_rate_and_is_deterministic(self):
         for rate in (100, 300, 500, 600):
-            for dist in (100, 700, 2000):
-                a = select_modes_min_channels(rate, dist)
-                b = select_modes_min_channels(rate, dist)
+            for hops in ([100], [700], [1000, 1000]):
+                a = select_modes_min_channels(hops, rate)
+                b = select_modes_min_channels(hops, rate)
                 assert a == b
                 assert sum(m.rate_gbps for m in a) >= rate
