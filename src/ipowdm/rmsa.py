@@ -99,8 +99,10 @@ class Segment:
 
 @dataclass
 class Lightpath:
-    """A provisioned lightpath; ``carried`` changes only via carry/release,
-    which keep ``residual`` equal to the unused part of the mode rate."""
+    """A provisioned lightpath. Its load (``carried``, ``residual``) changes
+    only through ``NetworkState.carry`` / ``release``, which keep ``residual``
+    equal to the unused part of the mode rate and the grooming index current;
+    ``groom_edge`` is set once, when the state registers the lightpath."""
 
     id: int
     route: tuple[str, ...]
@@ -110,17 +112,10 @@ class Lightpath:
     carried: list[tuple[str, int]] = field(default_factory=list)
     length_km: float = field(kw_only=True)  # topology.path_length_km(route)
     residual: int = field(init=False)
+    groom_edge: AuxEdge = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.residual = self.mode.rate_gbps - sum(r for _, r in self.carried)
-
-    def carry(self, flow_id: str, rate: int) -> None:
-        self.carried.append((flow_id, rate))
-        self.residual -= rate
-
-    def release(self, flow_id: str, rate: int) -> None:
-        self.carried.remove((flow_id, rate))
-        self.residual += rate
 
     @property
     def endpoints(self) -> tuple[str, str]:
@@ -137,7 +132,14 @@ class FlowRecord:
 
 
 class NetworkState:
-    """Mutable provisioning state for one run. Mutation is strictly sequential."""
+    """Mutable provisioning state for one run. Mutation is strictly sequential.
+
+    Lightpaths enter and leave through :meth:`add` / :meth:`remove` and change
+    load through :meth:`carry` / :meth:`release`, which keep ``groomable``
+    (residual -> {lp_id: grooming edge}) holding exactly the lightpaths that
+    can take another flow: residual left and, under intermediate grooming,
+    fewer than ``GROOM_MAX_FLOWS_PER_LP`` flows.
+    """
 
     def __init__(self, topo: Topology, arch: str, cfg: PlannerConfig, catalog=DEFAULT_CATALOG):
         if arch not in ARCHITECTURES:
@@ -147,6 +149,9 @@ class NetworkState:
         self.cfg = cfg
         self.catalog = catalog
         self.lightpaths: dict[int, Lightpath] = {}
+        self.groomable: dict[int, dict[int, AuxEdge]] = {}
+        self._max_flows = (GROOM_MAX_FLOWS_PER_LP if self.arch.intermediate_ip_grooming
+                           else float("inf"))
         self.occupancy: dict[tuple[str, str], set[int]] = {
             f: set() for f in topo.directed_fibers()
         }
@@ -164,12 +169,46 @@ class NetworkState:
         self._next_id += 1
         return self._next_id
 
+    def _grooms(self, lp: Lightpath) -> bool:
+        return lp.residual > 0 and len(lp.carried) < self._max_flows
+
+    def _file(self, lp: Lightpath) -> None:
+        if self._grooms(lp):
+            self.groomable.setdefault(lp.residual, {})[lp.id] = lp.groom_edge
+
+    def _unfile(self, lp: Lightpath) -> None:
+        if self._grooms(lp):
+            del self.groomable[lp.residual][lp.id]
+
+    def add(self, lp: Lightpath) -> None:
+        u, v = lp.endpoints
+        lp.groom_edge = AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v)
+        self.lightpaths[lp.id] = lp
+        self._file(lp)
+
+    def remove(self, lp: Lightpath) -> None:
+        self._unfile(lp)
+        del self.lightpaths[lp.id]
+
+    def carry(self, lp: Lightpath, flow_id: str, rate: int) -> None:
+        self._unfile(lp)
+        lp.carried.append((flow_id, rate))
+        lp.residual -= rate
+        self._file(lp)
+
+    def release(self, lp: Lightpath, flow_id: str, rate: int) -> None:
+        self._unfile(lp)
+        lp.carried.remove((flow_id, rate))
+        lp.residual += rate
+        self._file(lp)
+
     def audit(self) -> None:
         """Check the bookkeeping the engine relies on; raises AssertionError.
 
         Stored occupancy equals the segment claims, without clashes; stored
         residuals match carried flows; flow placements and lightpath carried
-        entries match one for one.
+        entries match one for one; ``groomable`` holds each lightpath that can
+        groom, under its residual and with its own edge, and nothing else.
         """
         unclaimed = {fiber: set(chans) for fiber, chans in self.occupancy.items()}
         unplaced: dict[int, list[tuple[str, int]]] = {}
@@ -189,9 +228,20 @@ class NetworkState:
                 used += rate
             if lp.residual != lp.mode.rate_gbps - used or lp.residual < 0:
                 raise AssertionError(f"lightpath {lp_id}: residual {lp.residual}, {used}G carried")
+            if self._grooms(lp) and lp_id not in self.groomable.get(lp.residual, ()):
+                raise AssertionError(f"lightpath {lp_id}: can groom but is not indexed")
             unplaced[lp_id] = list(lp.carried)
         if any(unclaimed.values()):
             raise AssertionError("stored occupancy diverges from lightpath claims")
+        for residual, bucket in self.groomable.items():
+            for lp_id, edge in bucket.items():
+                lp = self.lightpaths.get(lp_id)
+                if lp is None or lp.residual != residual or not self._grooms(lp):
+                    raise AssertionError(
+                        f"lightpath {lp_id}: stale grooming entry at residual {residual}")
+                if edge != (GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp_id, (),
+                            *lp.endpoints):
+                    raise AssertionError(f"lightpath {lp_id}: grooming edge {edge}")
         for flows in self.records.values():
             for flow in flows:
                 for lp_id, rate in flow.placements:
@@ -288,7 +338,9 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
 
 
 def _candidate_edges(state: NetworkState, demand: Demand):
-    """((u, v), alternatives) pairs of the new-lightpath edges for ``demand``.
+    """(graph key, ((u, v), alternatives) pairs) of the new-lightpath edges
+    for ``demand``; the key is the memo key plus the reach limit applied, so
+    equal keys name equal graphs.
 
     They depend only on the topology, the edge shape, (src, dst), ``k`` and
     the new-lightpath penalty, so each is built once per topology and kept in
@@ -310,19 +362,20 @@ def _candidate_edges(state: NetworkState, demand: Demand):
         entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
     longest, pairs = entry
     if shape == _HOP:
-        return pairs
+        return key, pairs
     catalog = state.catalog
     if shape == _END_TO_END:
         limit = max(m.reach_km for m in catalog)
     else:
         rate = min(demand.rate_gbps, max(m.rate_gbps for m in catalog))
         limit = max(m.reach_km for m in catalog if m.rate_gbps >= rate)
+    key += (limit,)
     if limit >= longest:
-        return pairs
+        return key, pairs
     topo = state.topology
-    kept = ((key, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
-            for key, alts in pairs)
-    return [(key, alts) for key, alts in kept if alts]
+    kept = ((uv, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
+            for uv, alts in pairs)
+    return key, [(uv, alts) for uv, alts in kept if alts]
 
 
 def build_auxiliary_graph(
@@ -330,31 +383,29 @@ def build_auxiliary_graph(
 ) -> dict[tuple[str, str], list[AuxEdge]]:
     """Edges keyed by (u, v); each key holds alternatives best-first.
 
-    Grooming edges come from the live lightpaths on every call; candidate
-    edges are fresh lists over the memoized tuples of :func:`_candidate_edges`,
-    so callers may pop from them.
+    Grooming edges are the stored edges of ``state.groomable``'s buckets with
+    residual >= the demand's rate (under TrZR only those joining the demand's
+    endpoints); candidate edges are fresh lists over the memoized tuples of
+    :func:`_candidate_edges`, so callers may pop from them.
     """
-    arch = state.arch
+    ends = None if state.arch.intermediate_ip_grooming else (demand.src, demand.dst)
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
-    for lp in state.lightpaths.values():  # order is free: alternatives sort
-        if lp.residual < demand.rate_gbps:
+    for residual, bucket in state.groomable.items():  # order is free: alternatives sort
+        if residual < demand.rate_gbps:
             continue
-        if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
-            continue
-        if arch.intermediate_ip_grooming and len(lp.carried) >= GROOM_MAX_FLOWS_PER_LP:
-            continue
-        u, v = lp.endpoints
-        edges.setdefault((u, v), []).append(
-            AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v))
-    for alts in edges.values():
-        alts.sort()
-    for key, alts in _candidate_edges(state, demand):
+        for edge in bucket.values():
+            key = (edge.u, edge.v)
+            if ends is None or key == ends:
+                edges.setdefault(key, []).append(edge)
+    grooming = list(edges.values())
+    for key, alts in _candidate_edges(state, demand)[1]:
         groom = edges.get(key)
         if groom is None:
             edges[key] = list(alts)
         else:
             groom.extend(alts)
-            groom.sort()
+    for alts in grooming:
+        alts.sort()
     return edges
 
 
@@ -397,7 +448,7 @@ def _create_lightpath(state, route, mode, b2b_nodes):
             state.occupancy[fiber].add(seg.channel)
     lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes),
                    length_km=state.topology.path_length_km(route))
-    state.lightpaths[lp.id] = lp
+    state.add(lp)
     return lp
 
 
@@ -411,7 +462,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
             b2b = tuple(edge.subpath[i] for i in plan_regeneration(lengths, m))
             lp = _create_lightpath(state, edge.subpath, m, b2b)
             amount = min(remaining, m.rate_gbps)
-            lp.carry(flow_id, amount)
+            state.carry(lp, flow_id, amount)
             remaining -= amount
             placements.append((lp.id, amount))
         return
@@ -419,7 +470,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
     mode, boundaries = select_mode_min_regens(lengths, rate, state.catalog)
     if not boundaries:
         lp = _create_lightpath(state, edge.subpath, mode, ())
-        lp.carry(flow_id, rate)
+        state.carry(lp, flow_id, rate)
         placements.append((lp.id, rate))
         return
     # IP regeneration: terminate at routers; each segment is its own lightpath
@@ -428,7 +479,7 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
         seg = edge.subpath[a:b + 1]
         seg_mode = select_mode_max_rate(topo.path_length_km(seg), state.catalog)
         lp = _create_lightpath(state, seg, seg_mode, ())
-        lp.carry(flow_id, rate)
+        state.carry(lp, flow_id, rate)
         placements.append((lp.id, rate))
 
 
@@ -437,10 +488,10 @@ def _release(state: NetworkState, flow_id: str, placements) -> None:
     lightpaths left carrying nothing, freeing their spectrum."""
     for lp_id, rate in placements:
         lp = state.lightpaths[lp_id]
-        lp.release(flow_id, rate)
+        state.release(lp, flow_id, rate)
         if lp.carried:
             continue
-        del state.lightpaths[lp_id]
+        state.remove(lp)
         for seg in lp.segments:
             for fiber in pairwise(seg.nodes):
                 state.occupancy[fiber].discard(seg.channel)
@@ -459,7 +510,7 @@ def _place_chain(state: NetworkState, flow: FlowRecord, chain) -> None:
                 lp = state.lightpaths[e.lp_id]
                 if lp.residual < flow.rate_gbps:
                     raise NoSpectrum("stale grooming edge")
-                lp.carry(flow.flow_id, flow.rate_gbps)
+                state.carry(lp, flow.flow_id, flow.rate_gbps)
                 placements.append((lp.id, flow.rate_gbps))
             else:
                 _realize_candidate_edge(state, e, flow.rate_gbps, flow.flow_id, placements)
@@ -499,26 +550,36 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
         if _try_groom_chain(state, flow, edges):
             return
-        edges = {k: alts for k, alts in
-                 ((key, [e for e in alts if e.kind == _NEW]) for key, alts in edges.items())
-                 if alts}
-    spectrum_failed = False
-    for _ in range(MAX_RETRIES):
+        # new lightpaths only: that graph is one memoized candidate entry, so
+        # its first route is memoized too; the graph itself is built only
+        # when that route fails to place
+        graph, pairs = _candidate_edges(state, demand)
+        memo = state.topology._route_memo
+        if graph not in memo:
+            found = _aux_shortest_path(dict(pairs), flow.src, flow.dst)
+            memo[graph] = None if found is None else tuple(found)
+        path_edges = memo[graph]
+        edges = None
+    else:
         path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
-        if path_edges is None:
-            reason = "no_spectrum" if spectrum_failed else "no_feasible_mode"
-            raise BlockedError(demand, reason)
-        try:
-            _place_chain(state, flow, path_edges)
-            return
-        except (NoSpectrum, NoFeasibleMode):
-            spectrum_failed = True
+    for attempt in range(MAX_RETRIES):
+        if attempt:
             # the path holds each node pair's first alternative; drop the
-            # first edge's and retry
+            # first edge's and search again
+            if edges is None:
+                edges = {uv: list(alts) for uv, alts in pairs}
             key = (path_edges[0].u, path_edges[0].v)
             edges[key].pop(0)
             if not edges[key]:
                 del edges[key]
+            path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
+        if path_edges is None:
+            raise BlockedError(demand, "no_spectrum" if attempt else "no_feasible_mode")
+        try:
+            _place_chain(state, flow, path_edges)
+            return
+        except (NoSpectrum, NoFeasibleMode):
+            pass
     raise BlockedError(demand, "no_spectrum")
 
 
@@ -620,9 +681,9 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
                 list(l1.carried),
                 length_km=state.topology.path_length_km(merged_route),
             )
-            del state.lightpaths[l1.id]
-            del state.lightpaths[l2.id]
-            state.lightpaths[merged.id] = merged
+            state.remove(l1)
+            state.remove(l2)
+            state.add(merged)
             _remap_records(state, {l1.id: merged.id, l2.id: merged.id})
             queue.append(merged)
             by_start.setdefault(merged.route[0], []).append(merged)

@@ -80,8 +80,10 @@ class Topology:
 
     ``k_shortest_paths`` memoizes its results on the instance, and so does
     the planner's new-lightpath edge build (``_aux_memo``, whose edges, keys
-    and alternative tuples are interned in ``_aux_intern``), so every run
-    planned on the same object shares them; they are freed with it.
+    and alternative tuples are interned in ``_aux_intern``) and the first
+    route over a new-lightpath-only graph (``_route_memo``, an edge tuple or
+    None per graph key), so every run planned on the same object shares them;
+    they are freed with it.
     """
 
     name: str
@@ -92,6 +94,7 @@ class Topology:
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _route_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes))

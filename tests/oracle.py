@@ -69,23 +69,16 @@ def exhaustive_regen_min(link_lengths, reach_km: float):
     return best
 
 
-def exhaustive_min_channel_split(rate_gbps, distance_km, catalog=DEFAULT_CATALOG, link_lengths=None):
-    """Minimum channel count split by full enumeration; returns (count, modes)."""
+def exhaustive_min_channel_split(rate_gbps, link_lengths, catalog=DEFAULT_CATALOG):
+    """Minimum channel count split over the hops ``link_lengths`` by full
+    enumeration; returns (count, modes)."""
     usable = []
     for m in catalog:
-        if link_lengths is not None:
-            regens = exhaustive_regen_min(link_lengths, m.reach_km)
-            if regens is None:
-                continue
-        else:
-            regens = 0
-            remaining = distance_km
-            while remaining > m.reach_km:
-                regens += 1
-                remaining -= m.reach_km
-        usable.append((m, regens))
+        regens = exhaustive_regen_min(link_lengths, m.reach_km)
+        if regens is not None:
+            usable.append((m, regens))
     if not usable:
-        raise Infeasible(f"no usable mode over {distance_km} km")
+        raise Infeasible(f"no mode reaches every hop of {list(link_lengths)} km")
     for count in range(1, 7):
         options = []
         for combo in itertools.combinations_with_replacement(usable, count):

@@ -277,8 +277,7 @@ def test_exact_match_on_enumeration_lattices():
         for n_links in range(1, 5):
             for lengths in itertools.product(lengths_pool, repeat=n_links):
                 try:
-                    oracle_count, _ = exhaustive_min_channel_split(
-                        rate, sum(lengths), link_lengths=lengths)
+                    oracle_count, _ = exhaustive_min_channel_split(rate, lengths)
                 except Infeasible:
                     oracle_count = None
                 try:

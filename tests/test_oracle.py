@@ -47,17 +47,17 @@ class TestRegenEnumeration:
 
 class TestSplitEnumeration:
     def test_two_channel_split(self):
-        count, modes = exhaustive_min_channel_split(600, 500)
+        count, modes = exhaustive_min_channel_split(600, [500])
         assert count == 2
         assert sum(m.rate_gbps for m in modes) >= 600
 
     def test_single_channel(self):
-        count, modes = exhaustive_min_channel_split(400, 100)
+        count, modes = exhaustive_min_channel_split(400, [100])
         assert count == 1 and modes[0].rate_gbps == 400
 
     def test_infeasible_when_no_regen_site(self):
         with pytest.raises(Infeasible):
-            exhaustive_min_channel_split(100, 3100, link_lengths=[3100])
+            exhaustive_min_channel_split(100, [3100])
 
 
 class TestMinCostProvision:

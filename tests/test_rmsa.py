@@ -1,15 +1,19 @@
 import dataclasses
 import hashlib
 import json
+from itertools import pairwise
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import mk_topo, toy_instance
+from ipowdm import rmsa
 from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
     ARCH_NAMES,
     ARCHITECTURES,
+    GROOM_MAX_FLOWS_PER_LP,
+    GROOMING_WEIGHT_FACTOR,
     AuxEdge,
     BlockedError,
     NetworkState,
@@ -17,6 +21,7 @@ from ipowdm.rmsa import (
     _GROOM,
     _NEW,
     _aux_shortest_path,
+    _candidate_edges,
     _create_lightpath,
     build_auxiliary_graph,
     merge_pure_ip_regens,
@@ -322,6 +327,14 @@ class TestBlockingAndAtomicity:
         with pytest.raises(ValueError, match="already provisioned"):
             route_demand(state, Demand("a", "c", 100))
 
+    @staticmethod
+    def _teardown_behind_index(s):
+        # what _release does to lightpath 3, but past NetworkState.remove
+        s.records.pop(("b", "c"))
+        lp = s.lightpaths.pop(3)
+        for fiber in pairwise(lp.segments[0].nodes):
+            s.occupancy[fiber].discard(lp.segments[0].channel)
+
     @pytest.mark.parametrize("corrupt, message", [
         (lambda s: setattr(s.lightpaths[2].segments[0], "channel", 0),
          r"channel clash on fiber \('a', 'b'\) channel 0"),
@@ -332,9 +345,14 @@ class TestBlockingAndAtomicity:
         (lambda s: s.records[("a", "b")][0].placements.clear(), "lightpath 1 carries unplaced"),
         (lambda s: s.records[("a", "c")][0].placements.append((9, 400)),
          "a->c#0 placed 400G on 9, not carried"),
-    ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements"])
+        (lambda s: s.groomable[300].pop(3), "lightpath 3: can groom but is not indexed"),
+        (_teardown_behind_index, "lightpath 3: stale grooming entry at residual 300"),
+    ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements",
+            "unindexed", "stale-index"])
     def test_audit_names_broken_bookkeeping(self, corrupt, message):
-        st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400))
+        # lightpaths 1 and 2 are full; 3 (b-c, 100G of 400G carried) can groom
+        st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400),
+                       Demand("b", "c", 100))
         st.audit()
         corrupt(st)
         with pytest.raises(AssertionError, match=message):
@@ -463,6 +481,20 @@ class TestCandidateMemo:
         assert (("a", "b") in subpaths(DEFAULT_CATALOG)) == (arch == "TrZR")
         assert len(topo._aux_memo) == entries
 
+    def test_first_route_memo_keys_on_the_reach_limit(self):
+        # no mode reaches the 1000 km link; the 650 km hops of a-c-b are
+        # beyond SHORT_REACH's 400G reach but within its 200G one, so one
+        # demand's 400G and 100G sub-flows take different first routes
+        topo = mk_topo("t", [("a", "b", 1000), ("a", "c", 650), ("c", "b", 650),
+                             ("a", "d", 500), ("d", "e", 500), ("e", "b", 500)])
+        state = NetworkState(topo, "TrIP", PlannerConfig(), SHORT_REACH)
+        flows = route_demand(state, Demand("a", "b", 500))
+        assert {f.rate_gbps: [state.lightpaths[lp_id].route for lp_id, _ in f.placements]
+                for f in flows} == {400: [("a", "d"), ("d", "e"), ("e", "b")],
+                                    100: [("a", "c"), ("c", "b")]}
+        assert sorted(route[0].subpath for route in topo._route_memo.values()) == [
+            ("a", "c", "b"), ("a", "d", "e", "b")]
+
     def test_grooming_edges_sort_before_and_among_candidates(self):
         # lightpaths opened longest first, so id order is not weight order;
         # key (a, b) also holds a candidate edge, key (b, a) grooms only
@@ -570,3 +602,63 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
             if demand.key in state.records:
                 flows = state.records[demand.key]
                 assert sum(f.rate_gbps for f in flows) == demand.rate_gbps
+
+
+def groom_scan(state, demand):
+    """Grooming edges for ``demand`` by a full scan of ``state.lightpaths``."""
+    arch = state.arch
+    edges = {}
+    for lp in state.lightpaths.values():
+        if lp.residual < demand.rate_gbps:
+            continue
+        if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
+            continue
+        if arch.intermediate_ip_grooming and len(lp.carried) >= GROOM_MAX_FLOWS_PER_LP:
+            continue
+        u, v = lp.endpoints
+        edges.setdefault((u, v), []).append(
+            AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v))
+    return {key: sorted(alts) for key, alts in edges.items()}
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+@example(282, 2)  # TrIPandZR's merges remove four lightpaths that can groom
+def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
+    # the blocking and undo setting above, where lightpaths open, fill, empty
+    # and merge: after every demand the grooming edges drawn from the index
+    # equal a scan of the lightpaths, and every memoized first new-lightpath
+    # route equals a search over candidate edges built on a copy of the
+    # topology that the engine never plans on
+    topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
+    topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
+    copy = dataclasses.replace(topo)
+    pairs = sorted({(d.src, d.dst) for d in m.demands})
+    probes = [Demand(src, dst, rate) for src, dst in pairs for rate in (100, 200, 300, 400)]
+
+    def check(state):
+        state.audit()
+        for demand in probes:
+            groom = {key: [e for e in alts if e.kind == _GROOM]
+                     for key, alts in build_auxiliary_graph(state, demand).items()}
+            assert {k: alts for k, alts in groom.items() if alts} == groom_scan(state, demand)
+            key, _ = _candidate_edges(state, demand)
+            if key in topo._route_memo:
+                _, fresh = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
+                                            demand)
+                found = _aux_shortest_path({uv: list(alts) for uv, alts in fresh},
+                                           demand.src, demand.dst)
+                assert topo._route_memo[key] == (None if found is None else tuple(found))
+
+    def checked_route_demand(state, demand, deferred=None):
+        try:
+            return route_demand(state, demand, deferred)
+        finally:
+            check(state)
+
+    for arch in ARCH_NAMES:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rmsa, "route_demand", checked_route_demand)
+            state = provision_all(topo, m, arch)
+        check(state)
+    assert topo._route_memo

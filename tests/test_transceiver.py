@@ -223,8 +223,7 @@ class TestMinChannelSplit:
             for n_links in range(1, 5):
                 for lengths in itertools.product(LENGTHS_POOL, repeat=n_links):
                     try:
-                        oracle_count, _ = exhaustive_min_channel_split(
-                            rate, sum(lengths), link_lengths=lengths)
+                        oracle_count, _ = exhaustive_min_channel_split(rate, lengths)
                     except Infeasible:
                         oracle_count = None
                     try:
