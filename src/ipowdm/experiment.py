@@ -188,7 +188,16 @@ def rows_from_csv(text: str) -> list[RunResult]:
             raise ValueError(
                 f"CSV row {n} has {len(rec)} fields, expected {len(CSV_COLUMNS)}"
             )
-        out.append(RunResult(**{c: _COLUMN_TYPES[c](v) for c, v in zip(CSV_COLUMNS, rec)}))
+        fields = {}
+        for column, value in zip(CSV_COLUMNS, rec):
+            kind = _COLUMN_TYPES[column]
+            try:
+                fields[column] = kind(value)
+            except ValueError:
+                raise ValueError(
+                    f"CSV row {n} column {column!r}: expected {kind.__name__}, got {value!r}"
+                ) from None
+        out.append(RunResult(**fields))
     return out
 
 

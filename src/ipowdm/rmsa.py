@@ -15,9 +15,11 @@ Architectures:
 
 Demands above 400 Gb/s are inverse-multiplexed into sub-flows before routing
 (except under TrZR, where the minimum-channel split decides the parallel
-channels). Each sub-flow is routed on the auxiliary graph: grooming edges
+channels). Each sub-flow is routed on an auxiliary graph: grooming edges
 reuse residual lightpath capacity at strongly reduced weight, candidate edges
 open new lightpaths at physical length plus a small per-lightpath penalty.
+Each architecture builds only the part of it that it searches; see
+:func:`build_auxiliary_graph`.
 """
 
 from __future__ import annotations
@@ -159,6 +161,7 @@ class NetworkState:
         self.blocked: list[tuple[Demand, str]] = []
         self._next_id = 0
         self._new_lp_penalty = 2.0 * min(m.cost_units for m in catalog)
+        self._reach_limits: dict[int, float] = {}  # flow rate -> see _reach_limit
 
     # -- helpers -------------------------------------------------------------
 
@@ -300,13 +303,15 @@ class AuxEdge(NamedTuple):
 
 # Shapes of the new-lightpath (candidate) edges; TrIP and TrIPandZR share one.
 _HOP, _END_TO_END, _SUBPATH = range(3)
+# _aux_memo key of the hop-by-hop candidate edges' adjacency (OpIP)
+_HOP_ADJACENCY = (_HOP, "adjacency")
 
 
 def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
-    """(longest hop, ((u, v), alternatives best-first) pairs) of one memo entry.
+    """(longest hop, {(u, v): alternatives best-first}) of one memo entry.
 
-    Edges, keys, alternative tuples and pairs are interned in
-    ``topology._aux_intern``, so entries that share a subpath share its objects.
+    Edges, keys and alternative tuples are interned in ``topology._aux_intern``,
+    so entries that share a subpath share its objects.
     """
     topo = state.topology
     intern = topo._aux_intern.setdefault
@@ -329,26 +334,41 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
         longest = max(longest, *lengths)
         edge = AuxEdge(sum(lengths) + base, _NEW, -1, sub, sub[0], sub[-1])
         alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
-    pairs = []
+    entry = {}
     for key, edges in alts.items():
         edges = tuple(sorted(edges))
-        pair = (intern(key, key), intern(edges, edges))
-        pairs.append(intern(pair, pair))
-    return longest, tuple(pairs)
+        entry[intern(key, key)] = intern(edges, edges)
+    return longest, entry
+
+
+def _reach_limit(state: NetworkState, shape: int, rate: int) -> float:
+    """Longest hop a new lightpath of ``shape`` may span for a ``rate`` flow,
+    computed once per state and rate: the largest reach of a mode carrying
+    the capped rate on a subpath, of any mode on an end-to-end path."""
+    limit = state._reach_limits.get(rate)
+    if limit is None:
+        catalog = state.catalog
+        if shape == _END_TO_END:
+            limit = max(m.reach_km for m in catalog)
+        else:
+            capped = min(rate, max(m.rate_gbps for m in catalog))
+            limit = max(m.reach_km for m in catalog if m.rate_gbps >= capped)
+        state._reach_limits[rate] = limit
+    return limit
 
 
 def _candidate_edges(state: NetworkState, demand: Demand):
-    """(graph key, ((u, v), alternatives) pairs) of the new-lightpath edges
-    for ``demand``; the key is the memo key plus the reach limit applied, so
-    equal keys name equal graphs.
+    """(graph key, {(u, v): alternatives}) of the new-lightpath edges for
+    ``demand``; the key is the memo key plus the reach limit applied, so
+    equal keys name equal graphs. The dict is shared: callers must not
+    change it.
 
-    They depend only on the topology, the edge shape, (src, dst), ``k`` and
-    the new-lightpath penalty, so each is built once per topology and kept in
-    ``topology._aux_memo``. The reach rule runs here, and only when the
-    demand's limit is shorter than the entry's longest hop: a subpath is kept
-    when its longest hop is within the largest reach of a mode carrying the
-    demand's capped rate, an end-to-end path when it is within the catalog's
-    largest reach. Hop-by-hop edges are never filtered.
+    The edges depend only on the topology, the edge shape, (src, dst), ``k``
+    and the new-lightpath penalty, so each entry is built once per topology
+    and kept in ``topology._aux_memo``. The reach rule runs here, and only
+    when the demand's limit is shorter than the entry's longest hop: an edge
+    is kept when its longest hop is within :func:`_reach_limit`. Hop-by-hop
+    edges are never filtered.
     """
     arch = state.arch
     if not arch.optical_bypass:
@@ -360,35 +380,61 @@ def _candidate_edges(state: NetworkState, demand: Demand):
     entry = memo.get(key)
     if entry is None:
         entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
-    longest, pairs = entry
+    longest, alternatives = entry
     if shape == _HOP:
-        return key, pairs
-    catalog = state.catalog
-    if shape == _END_TO_END:
-        limit = max(m.reach_km for m in catalog)
-    else:
-        rate = min(demand.rate_gbps, max(m.rate_gbps for m in catalog))
-        limit = max(m.reach_km for m in catalog if m.rate_gbps >= rate)
+        return key, alternatives
+    limit = _reach_limit(state, shape, demand.rate_gbps)
     key += (limit,)
     if limit >= longest:
-        return key, pairs
+        return key, alternatives
     topo = state.topology
     kept = ((uv, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
-            for uv, alts in pairs)
-    return key, [(uv, alts) for uv, alts in kept if alts]
+            for uv, alts in alternatives.items())
+    return key, {uv: alts for uv, alts in kept if alts}
+
+
+def _hop_adjacency(state: NetworkState, hops) -> dict[str, dict[str, float]]:
+    """Best weight per node pair of the hop-by-hop candidate edges ``hops``,
+    built once per topology and kept in ``topology._aux_memo`` beside them."""
+    memo = state.topology._aux_memo
+    adj = memo.get(_HOP_ADJACENCY)
+    if adj is None:
+        adj = memo[_HOP_ADJACENCY] = _adjacency(hops)
+    return adj
+
+
+class _OverlaidGraph(dict):
+    """OpIP's graph: the fibers' candidate edges with the grooming pairs,
+    also kept in ``grooming``, laid over them."""
+
+    __slots__ = ("grooming",)
 
 
 def build_auxiliary_graph(
     state: NetworkState, demand: Demand
-) -> dict[tuple[str, str], list[AuxEdge]]:
-    """Edges keyed by (u, v); each key holds alternatives best-first.
+) -> dict[tuple[str, str], list[AuxEdge] | tuple[AuxEdge, ...]]:
+    """The graph ``demand``'s flow searches: edges keyed by (u, v), each key
+    holding its alternatives best-first.
 
-    Grooming edges are the stored edges of ``state.groomable``'s buckets with
-    residual >= the demand's rate (under TrZR only those joining the demand's
-    endpoints); candidate edges are fresh lists over the memoized tuples of
-    :func:`_candidate_edges`, so callers may pop from them.
+    A node pair's grooming edges are the stored edges of ``state.groomable``'s
+    buckets with residual >= the demand's rate, merged with that pair's
+    candidate edges (:func:`_candidate_edges`) into a fresh sorted list.
+    Each architecture gets only the pairs it searches:
+
+    * TrIP, TrIPandZR: the grooming pairs; the groom chain searches those
+      whose best edge grooms, and new lightpaths are routed over the
+      candidate edges alone (see :func:`_route_flow`);
+    * TrZR: the one pair (src, dst), whose grooming edges join the demand's
+      endpoints and whose candidates are the end-to-end paths;
+    * OpIP: every fiber, with the grooming pairs laid over the memoized
+      candidate edges (an :class:`_OverlaidGraph`), so no candidate list is
+      copied.
+
+    Candidate-only pairs hold the memoized tuples, so callers replace a
+    pair's alternatives rather than change them.
     """
-    ends = None if state.arch.intermediate_ip_grooming else (demand.src, demand.dst)
+    arch = state.arch
+    ends = None if arch.intermediate_ip_grooming else (demand.src, demand.dst)
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
     for residual, bucket in state.groomable.items():  # order is free: alternatives sort
         if residual < demand.rate_gbps:
@@ -397,24 +443,34 @@ def build_auxiliary_graph(
             key = (edge.u, edge.v)
             if ends is None or key == ends:
                 edges.setdefault(key, []).append(edge)
-    grooming = list(edges.values())
-    for key, alts in _candidate_edges(state, demand)[1]:
-        groom = edges.get(key)
-        if groom is None:
-            edges[key] = list(alts)
-        else:
-            groom.extend(alts)
-    for alts in grooming:
+    candidates = _candidate_edges(state, demand)[1]
+    for key, alts in edges.items():
+        alts.extend(candidates.get(key, ()))
         alts.sort()
-    return edges
+    if arch.optical_bypass:
+        if ends is not None and not edges and ends in candidates:
+            edges[ends] = candidates[ends]  # TrZR's one pair grooms nothing
+        return edges
+    graph = _OverlaidGraph(candidates)
+    graph.update(edges)
+    graph.grooming = edges
+    return graph
 
 
-def _aux_shortest_path(edges, src, dst):
-    """Best edge per node pair along the lexicographic shortest path, or None."""
+def _adjacency(edges) -> dict[str, dict[str, float]]:
     adj: dict[str, dict[str, float]] = {}
     for (u, v), alts in edges.items():
         adj.setdefault(u, {})[v] = alts[0].weight
-    found = lexicographic_dijkstra(adj, src, dst)
+    return adj
+
+
+def _aux_shortest_path(edges, src, dst, adj=None):
+    """Best edge per node pair along the lexicographic shortest path, or None.
+
+    ``adj`` holds the best weight of every pair of ``edges``; by default it
+    is built from them.
+    """
+    found = lexicographic_dijkstra(_adjacency(edges) if adj is None else adj, src, dst)
     return None if found is None else [edges[key][0] for key in pairwise(found[1])]
 
 
@@ -545,34 +601,60 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
 
 
 def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
+    """Place ``flow`` over the best route of its architecture's graph, trying
+    the next best after each route that fails to place, up to ``MAX_RETRIES``.
+
+    A retry drops the failed route's first edge: its node pair falls back to
+    its next alternative, or leaves the graph with the last one.
+    """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     edges = build_auxiliary_graph(state, demand)
-    if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
+    arch = state.arch
+    if not arch.intermediate_ip_grooming:
+        # TrZR: one node pair, so each route is its next alternative
+        alts = edges.get((flow.src, flow.dst), ())
+        for attempt in range(min(len(alts), MAX_RETRIES)):
+            try:
+                _place_chain(state, flow, (alts[attempt],))
+                return
+            except (NoSpectrum, NoFeasibleMode):
+                pass
+        raise BlockedError(demand, "no_spectrum" if alts else "no_feasible_mode")
+    if arch.optical_bypass:
         if _try_groom_chain(state, flow, edges):
             return
         # new lightpaths only: that graph is one memoized candidate entry, so
-        # its first route is memoized too; the graph itself is built only
-        # when that route fails to place
-        graph, pairs = _candidate_edges(state, demand)
+        # its first route is memoized too; its adjacency is built only when
+        # that route fails to place
+        graph, edges = _candidate_edges(state, demand)
         memo = state.topology._route_memo
         if graph not in memo:
-            found = _aux_shortest_path(dict(pairs), flow.src, flow.dst)
+            found = _aux_shortest_path(edges, flow.src, flow.dst)
             memo[graph] = None if found is None else tuple(found)
         path_edges = memo[graph]
-        edges = None
+        adj = None
     else:
-        path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
+        # OpIP: the fibers' memoized adjacency, copied per node, with the
+        # grooming pairs' best weights laid over it
+        hops = _candidate_edges(state, demand)[1]
+        adj = {u: dict(nbrs) for u, nbrs in _hop_adjacency(state, hops).items()}
+        for (u, v), alts in edges.grooming.items():
+            adj[u][v] = alts[0].weight
+        path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
     for attempt in range(MAX_RETRIES):
         if attempt:
-            # the path holds each node pair's first alternative; drop the
-            # first edge's and search again
-            if edges is None:
-                edges = {uv: list(alts) for uv, alts in pairs}
-            key = (path_edges[0].u, path_edges[0].v)
-            edges[key].pop(0)
-            if not edges[key]:
-                del edges[key]
-            path_edges = _aux_shortest_path(edges, flow.src, flow.dst)
+            if adj is None:  # the memoized candidate entry: copy, then change
+                adj = _adjacency(edges)
+                edges = dict(edges)
+            # the search reads the adjacency, so a pair with no alternative
+            # left leaves it there only
+            u, v = key = path_edges[0].u, path_edges[0].v
+            rest = edges[key] = edges[key][1:]
+            if rest:
+                adj[u][v] = rest[0].weight
+            else:
+                del adj[u][v]
+            path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
         if path_edges is None:
             raise BlockedError(demand, "no_spectrum" if attempt else "no_feasible_mode")
         try:
@@ -654,20 +736,23 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
     is left. Returns the number of merges performed.
     """
     queue = sorted(state.lightpaths.values(), key=lambda l: l.id)
-    by_start: dict[str, list[Lightpath]] = {}
+    # a pair shares its meeting node, mode and carried flows; carried sets do
+    # not change during the pass, so each lightpath is filed under them once
+    by_start: dict[tuple, list[Lightpath]] = {}
+
+    def file(lp: Lightpath) -> None:
+        key = (lp.route[0], lp.mode.key, tuple(sorted(lp.carried)))
+        by_start.setdefault(key, []).append(lp)
+
     for lp in queue:
-        by_start.setdefault(lp.route[0], []).append(lp)
+        file(lp)
     merges = 0
     for l1 in queue:
-        if l1.id not in state.lightpaths:
+        if l1.id not in state.lightpaths or not l1.carried:
             continue
         b = l1.route[-1]
-        for l2 in by_start.get(b, ()):
-            if l2.id == l1.id or l2.id not in state.lightpaths:
-                continue
-            if l2.mode.key != l1.mode.key:
-                continue
-            if sorted(l1.carried) != sorted(l2.carried) or not l1.carried:
+        for l2 in by_start.get((b, l1.mode.key, tuple(sorted(l1.carried))), ()):
+            if l2.id not in state.lightpaths:
                 continue
             merged_route = l1.route + l2.route[1:]
             if len(set(merged_route)) != len(merged_route):
@@ -686,7 +771,7 @@ def merge_pure_ip_regens(state: NetworkState) -> int:
             state.add(merged)
             _remap_records(state, {l1.id: merged.id, l2.id: merged.id})
             queue.append(merged)
-            by_start.setdefault(merged.route[0], []).append(merged)
+            file(merged)
             merges += 1
             break
     return merges

@@ -8,6 +8,7 @@ the brute-force optimum on small instances. One summary line per check is
 printed in the terminal summary.
 """
 
+import dataclasses
 import itertools
 import time
 
@@ -21,6 +22,7 @@ from oracle import (
     exhaustive_min_cost_provision,
     exhaustive_regen_min,
 )
+from ipowdm import rmsa
 from ipowdm.cli import main
 from ipowdm.dimensioning import network_cost
 from ipowdm.experiment import ExperimentConfig, average_rows, run_experiment, run_single
@@ -219,6 +221,37 @@ def test_no_blocking_and_state_invariants(grid):
         "zero blocked demands and clean state audits",
         blocked == 0 and sampled_ok,
         f"blocked={blocked}",
+    )
+
+
+def test_trip_and_zr_equals_trip_on_the_study(monkeypatch):
+    # _subflow_rates cuts every demand into unit rates that need no
+    # regeneration over the shortest path, so on j14 and g17 no TrIP or
+    # TrIPandZR lightpath is IP-regenerated, the merge pass finds no pure
+    # regeneration to turn into a b2b pair, and the two architectures' rows
+    # agree in every column. A model change that sets them apart fails here.
+    merges, regens = [], []
+    merge, min_regens = rmsa.merge_pure_ip_regens, rmsa.select_mode_min_regens
+
+    def counted_min_regens(*args):
+        mode, boundaries = min_regens(*args)
+        regens.append(len(boundaries))
+        return mode, boundaries
+
+    monkeypatch.setattr(rmsa, "merge_pure_ip_regens", lambda s: merges.append(merge(s)))
+    monkeypatch.setattr(rmsa, "select_mode_min_regens", counted_min_regens)
+    differing = []
+    for topo_name, scen in CELLS:
+        topo, scenario = load_named_topology(topo_name), load_scenario(scen)
+        trip, _ = run_single(topo, "TrIP", scenario, 0)
+        both, _ = run_single(topo, "TrIPandZR", scenario, 0)
+        if dataclasses.replace(both, arch="TrIP") != trip:
+            differing.append((topo_name, scen))
+    assert regens and len(merges) == len(CELLS)  # both counters ran
+    record(
+        "TrIPandZR equals TrIP on the study grid (seed 0)",
+        not differing and not any(regens) and not any(merges),
+        f"ip_regens={sum(regens)} merges={sum(merges)} differing={differing}",
     )
 
 

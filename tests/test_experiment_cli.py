@@ -94,6 +94,16 @@ class TestReporting:
         with pytest.raises(ValueError, match="row 1 has 2 fields"):
             rows_from_csv(",".join(CSV_COLUMNS) + "\n1,2\n")
 
+    @pytest.mark.parametrize("column, value, kind", [
+        ("zr_count", "abc", "int"), ("seed", "1.5", "int"), ("power_total", "x", "float")])
+    def test_csv_bad_value_names_row_and_column(self, column, value, kind):
+        good = ["j14", "TrIP", "TS1", "0"] + ["1"] * (len(CSV_COLUMNS) - 4)
+        bad = [value if c == column else v for c, v in zip(CSV_COLUMNS, good)]
+        text = "\n".join(",".join(r) for r in (CSV_COLUMNS, good, bad)) + "\n"
+        with pytest.raises(ValueError) as exc:
+            rows_from_csv(text)
+        assert str(exc.value) == f"CSV row 2 column {column!r}: expected {kind}, got {value!r}"
+
     def test_average_rows_means(self):
         rows = run_experiment(
             ExperimentConfig(
@@ -210,3 +220,18 @@ class TestCli:
         header = text.splitlines()[0].split(",")
         assert "saving_power_total_pct" in header
         assert "baseline" in header
+
+    def test_compare_bad_value_is_one_line_error(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "runs"
+        main(["experiment", "--topology", toy_path, "--scenario", "TS1",
+              "--runs", "1", "--out", str(out)])
+        capsys.readouterr()
+        rows = (out / "rows.csv").read_text().splitlines()
+        fields = rows[3].split(",")
+        fields[CSV_COLUMNS.index("zr_count")] = "abc"
+        rows[3] = ",".join(fields)
+        (out / "rows.csv").write_text("\n".join(rows) + "\n")
+        rc = main(["compare", "--in", str(out / "rows.csv"), "--baseline", "OpIP"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ipowdm: error: CSV row 3 column 'zr_count': expected int, got 'abc'\n")

@@ -6,14 +6,13 @@ from itertools import pairwise
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_engine
 from helpers import mk_topo, toy_instance
 from ipowdm import rmsa
 from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
     ARCH_NAMES,
     ARCHITECTURES,
-    GROOM_MAX_FLOWS_PER_LP,
-    GROOMING_WEIGHT_FACTOR,
     AuxEdge,
     BlockedError,
     NetworkState,
@@ -205,6 +204,14 @@ class TestPureRegenMerge:
         assert lp.id == 5  # three routed lightpaths, then two merges
         # the merged length is the route's, not the sum of the parts
         assert lp.length_km == st.topology.path_length_km(lp.route)
+
+    def test_merged_lightpaths_merge_with_each_other(self):
+        # a-b + b-c and c-d + d-e merge first; the a-c result then finds the
+        # c-e result, which joined the pass after it, as its partner
+        st = provision(LINE3_XLONG + [("d", "e", 1600)], "TrIPandZR", Demand("a", "e", 200))
+        (lp,) = st.lightpaths.values()
+        assert (lp.id, lp.route, lp.b2b_regen_nodes) == (
+            7, ("a", "b", "c", "d", "e"), ("b", "c", "d"))
 
     def test_grooming_node_is_not_merged(self):
         # b terminates two lightpaths but they carry different flow sets, so
@@ -469,8 +476,9 @@ class TestCandidateMemo:
         demand = Demand("a", "b", 400)
 
         def subpaths(catalog):
+            # the candidate edges themselves: TrIP's graph holds grooming pairs only
             state = NetworkState(topo, arch, PlannerConfig(), catalog)
-            edges = build_auxiliary_graph(state, demand)
+            _, edges = _candidate_edges(state, demand)
             return {e.subpath for alts in edges.values() for e in alts}
 
         short = subpaths(SHORT_REACH)
@@ -604,23 +612,6 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
                 assert sum(f.rate_gbps for f in flows) == demand.rate_gbps
 
 
-def groom_scan(state, demand):
-    """Grooming edges for ``demand`` by a full scan of ``state.lightpaths``."""
-    arch = state.arch
-    edges = {}
-    for lp in state.lightpaths.values():
-        if lp.residual < demand.rate_gbps:
-            continue
-        if not arch.intermediate_ip_grooming and lp.endpoints != (demand.src, demand.dst):
-            continue
-        if arch.intermediate_ip_grooming and len(lp.carried) >= GROOM_MAX_FLOWS_PER_LP:
-            continue
-        u, v = lp.endpoints
-        edges.setdefault((u, v), []).append(
-            AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v))
-    return {key: sorted(alts) for key, alts in edges.items()}
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
 @example(282, 2)  # TrIPandZR's merges remove four lightpaths that can groom
@@ -641,13 +632,14 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
         for demand in probes:
             groom = {key: [e for e in alts if e.kind == _GROOM]
                      for key, alts in build_auxiliary_graph(state, demand).items()}
-            assert {k: alts for k, alts in groom.items() if alts} == groom_scan(state, demand)
+            scan = reference_engine.grooming_edges(state, demand)
+            assert {k: alts for k, alts in groom.items() if alts} == {
+                key: sorted(alts) for key, alts in scan.items()}
             key, _ = _candidate_edges(state, demand)
             if key in topo._route_memo:
                 _, fresh = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
                                             demand)
-                found = _aux_shortest_path({uv: list(alts) for uv, alts in fresh},
-                                           demand.src, demand.dst)
+                found = _aux_shortest_path(fresh, demand.src, demand.dst)
                 assert topo._route_memo[key] == (None if found is None else tuple(found))
 
     def checked_route_demand(state, demand, deferred=None):
@@ -662,3 +654,76 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             state = provision_all(topo, m, arch)
         check(state)
     assert topo._route_memo
+
+
+# ZR+ 16QAM reaches 300 km only, so the reach rule drops the 400 and 500 km
+# hops of the toy instances from 400G flows' subpaths; same penalty
+SHORT_400G = tuple(dataclasses.replace(m, reach_km=300) if m.key == ("ZR+", "16QAM", 400)
+                   else m for m in DEFAULT_CATALOG)
+
+
+def routing_log(topo, m, arch, router, catalog=DEFAULT_CATALOG):
+    """(outcome of every routed flow, final state digest) with ``router``
+    as the engine's flow router; an outcome is the placements or the blocked
+    reason, and the lightpath ids handed out so far, which count the
+    lightpaths each failed try opened and tore down."""
+    log = []
+
+    def logged(state, flow):
+        try:
+            router(state, flow)
+        except BlockedError as exc:
+            log.append((flow.flow_id, exc.reason, state._next_id))
+            raise
+        log.append((flow.flow_id, list(flow.placements), state._next_id))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rmsa, "_route_flow", logged)
+        state = provision_all(topo, m, arch, catalog=catalog)
+    return log, state_digest(state)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.sampled_from([None, 1, 2]),
+       st.sampled_from([DEFAULT_CATALOG, SHORT_400G]))
+@example(52, 1, DEFAULT_CATALOG)  # blocks 4 demands, TrIPandZR merges
+@example(282, 2, SHORT_400G)
+def test_per_architecture_graphs_route_like_the_merged_graph(seed, channels, catalog):
+    # every flow, routed or blocked, tried and retried, ends as it does over
+    # one merged graph of scanned grooming edges and fresh candidate edges
+    topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
+    if channels is not None:
+        topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
+    engine = rmsa._route_flow
+    for arch in ARCH_NAMES:
+        expected = routing_log(topo, m, arch, reference_engine.route_flow, catalog)
+        assert routing_log(topo, m, arch, engine, catalog) == expected, arch
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_per_architecture_graphs_route_like_the_merged_graph_on_g17(arch):
+    # the benchmark's spectrum-tight setting: g17 on 12 channels, TS3
+    topo = load_named_topology("g17")
+    topo = dataclasses.replace(topo, grid=ChannelGrid(12, 100))
+    m = generate_traffic(topo, load_scenario("TS3"), 0)
+    expected = routing_log(topo, m, arch, reference_engine.route_flow)
+    assert any(isinstance(outcome, str) for _, outcome, _ in expected[0])  # blocking
+    assert routing_log(topo, m, arch, rmsa._route_flow) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+@example(52, 1)
+@example(271, 2)
+@example(282, 2)
+def test_merge_index_matches_a_scan(seed, channels):
+    topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
+    topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
+    results = []
+    for merge in (reference_engine.merge_pure_ip_regens, rmsa.merge_pure_ip_regens):
+        merges = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rmsa, "merge_pure_ip_regens", lambda state: merges.append(merge(state)))
+            state = provision_all(topo, m, "TrIPandZR")
+        results.append((merges, state_digest(state)))
+    assert results[1] == results[0]
