@@ -303,12 +303,11 @@ class AuxEdge(NamedTuple):
 
 # Shapes of the new-lightpath (candidate) edges; TrIP and TrIPandZR share one.
 _HOP, _END_TO_END, _SUBPATH = range(3)
-# _aux_memo key of the hop-by-hop candidate edges' adjacency (OpIP)
-_HOP_ADJACENCY = (_HOP, "adjacency")
 
 
 def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
-    """(longest hop, {(u, v): alternatives best-first}) of one memo entry.
+    """(longest hop, {(u, v): alternatives best-first}, adjacency) of one
+    memo entry; the adjacency holds each pair's best weight.
 
     Edges, keys and alternative tuples are interned in ``topology._aux_intern``,
     so entries that share a subpath share its objects.
@@ -338,30 +337,31 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
     for key, edges in alts.items():
         edges = tuple(sorted(edges))
         entry[intern(key, key)] = intern(edges, edges)
-    return longest, entry
+    return longest, entry, _adjacency(entry)
 
 
-def _reach_limit(state: NetworkState, shape: int, rate: int) -> float:
-    """Longest hop a new lightpath of ``shape`` may span for a ``rate`` flow,
-    computed once per state and rate: the largest reach of a mode carrying
-    the capped rate on a subpath, of any mode on an end-to-end path."""
+def _reach_limit(state: NetworkState, rate: int) -> float:
+    """Longest hop a new lightpath may span for a ``rate`` flow, computed
+    once per state and rate: under intermediate grooming (subpath edges) the
+    largest reach of a mode carrying the capped rate, under TrZR (end-to-end
+    edges) the largest reach of any mode."""
     limit = state._reach_limits.get(rate)
     if limit is None:
         catalog = state.catalog
-        if shape == _END_TO_END:
-            limit = max(m.reach_km for m in catalog)
-        else:
+        if state.arch.intermediate_ip_grooming:
             capped = min(rate, max(m.rate_gbps for m in catalog))
             limit = max(m.reach_km for m in catalog if m.rate_gbps >= capped)
+        else:
+            limit = max(m.reach_km for m in catalog)
         state._reach_limits[rate] = limit
     return limit
 
 
 def _candidate_edges(state: NetworkState, demand: Demand):
-    """(graph key, {(u, v): alternatives}) of the new-lightpath edges for
-    ``demand``; the key is the memo key plus the reach limit applied, so
-    equal keys name equal graphs. The dict is shared: callers must not
-    change it.
+    """(graph key, {(u, v): alternatives}, adjacency) of the new-lightpath
+    edges for ``demand``; the key is the memo key plus the reach limit
+    applied, so equal keys name equal graphs. The dict and the adjacency are
+    shared: callers must not change them.
 
     The edges depend only on the topology, the edge shape, (src, dst), ``k``
     and the new-lightpath penalty, so each entry is built once per topology
@@ -380,34 +380,25 @@ def _candidate_edges(state: NetworkState, demand: Demand):
     entry = memo.get(key)
     if entry is None:
         entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
-    longest, alternatives = entry
+    longest, alternatives, adj = entry
     if shape == _HOP:
-        return key, alternatives
-    limit = _reach_limit(state, shape, demand.rate_gbps)
+        return key, alternatives, adj
+    limit = _reach_limit(state, demand.rate_gbps)
     key += (limit,)
     if limit >= longest:
-        return key, alternatives
+        return key, alternatives, adj
     topo = state.topology
     kept = ((uv, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
             for uv, alts in alternatives.items())
-    return key, {uv: alts for uv, alts in kept if alts}
-
-
-def _hop_adjacency(state: NetworkState, hops) -> dict[str, dict[str, float]]:
-    """Best weight per node pair of the hop-by-hop candidate edges ``hops``,
-    built once per topology and kept in ``topology._aux_memo`` beside them."""
-    memo = state.topology._aux_memo
-    adj = memo.get(_HOP_ADJACENCY)
-    if adj is None:
-        adj = memo[_HOP_ADJACENCY] = _adjacency(hops)
-    return adj
+    alternatives = {uv: alts for uv, alts in kept if alts}
+    return key, alternatives, _adjacency(alternatives)
 
 
 class _OverlaidGraph(dict):
-    """OpIP's graph: the fibers' candidate edges with the grooming pairs,
-    also kept in ``grooming``, laid over them."""
+    """OpIP's graph: the fibers' candidate edges with the grooming pairs laid
+    over them, and in ``adjacency`` the best weight of every pair."""
 
-    __slots__ = ("grooming",)
+    __slots__ = ("adjacency",)
 
 
 def build_auxiliary_graph(
@@ -428,7 +419,8 @@ def build_auxiliary_graph(
       endpoints and whose candidates are the end-to-end paths;
     * OpIP: every fiber, with the grooming pairs laid over the memoized
       candidate edges (an :class:`_OverlaidGraph`), so no candidate list is
-      copied.
+      copied; its adjacency is the memoized one, copied per node, with the
+      grooming pairs' best weights laid over it.
 
     Candidate-only pairs hold the memoized tuples, so callers replace a
     pair's alternatives rather than change them.
@@ -443,7 +435,7 @@ def build_auxiliary_graph(
             key = (edge.u, edge.v)
             if ends is None or key == ends:
                 edges.setdefault(key, []).append(edge)
-    candidates = _candidate_edges(state, demand)[1]
+    _, candidates, adj = _candidate_edges(state, demand)
     for key, alts in edges.items():
         alts.extend(candidates.get(key, ()))
         alts.sort()
@@ -453,7 +445,9 @@ def build_auxiliary_graph(
         return edges
     graph = _OverlaidGraph(candidates)
     graph.update(edges)
-    graph.grooming = edges
+    graph.adjacency = adj = {u: dict(nbrs) for u, nbrs in adj.items()}
+    for (u, v), alts in edges.items():
+        adj[u][v] = alts[0].weight
     return graph
 
 
@@ -467,8 +461,8 @@ def _adjacency(edges) -> dict[str, dict[str, float]]:
 def _aux_shortest_path(edges, src, dst, adj=None):
     """Best edge per node pair along the lexicographic shortest path, or None.
 
-    ``adj`` holds the best weight of every pair of ``edges``; by default it
-    is built from them.
+    ``adj`` holds the best weight of each pair of ``edges`` to search, by
+    default every pair.
     """
     found = lexicographic_dijkstra(_adjacency(edges) if adj is None else adj, src, dst)
     return None if found is None else [edges[key][0] for key in pairwise(found[1])]
@@ -587,8 +581,11 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
     half-groomed detours fragment capacity into short, poorly reusable
     lightpaths.
     """
-    groom_edges = {key: alts for key, alts in edges.items() if alts[0].kind == _GROOM}
-    chain = _aux_shortest_path(groom_edges, flow.src, flow.dst)
+    adj: dict[str, dict[str, float]] = {}
+    for (u, v), alts in edges.items():
+        if alts[0].kind == _GROOM:
+            adj.setdefault(u, {})[v] = alts[0].weight
+    chain = _aux_shortest_path(edges, flow.src, flow.dst, adj)
     if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return False
     chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
@@ -624,28 +621,25 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
         if _try_groom_chain(state, flow, edges):
             return
         # new lightpaths only: that graph is one memoized candidate entry, so
-        # its first route is memoized too; its adjacency is built only when
-        # that route fails to place
-        graph, edges = _candidate_edges(state, demand)
+        # its first route is memoized too; the entry is copied only when that
+        # route fails to place
+        graph, edges, adj = _candidate_edges(state, demand)
         memo = state.topology._route_memo
         if graph not in memo:
-            found = _aux_shortest_path(edges, flow.src, flow.dst)
+            found = _aux_shortest_path(edges, flow.src, flow.dst, adj)
             memo[graph] = None if found is None else tuple(found)
         path_edges = memo[graph]
-        adj = None
+        shared = True
     else:
-        # OpIP: the fibers' memoized adjacency, copied per node, with the
-        # grooming pairs' best weights laid over it
-        hops = _candidate_edges(state, demand)[1]
-        adj = {u: dict(nbrs) for u, nbrs in _hop_adjacency(state, hops).items()}
-        for (u, v), alts in edges.grooming.items():
-            adj[u][v] = alts[0].weight
+        adj = edges.adjacency  # OpIP: the graph's own copy
         path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
+        shared = False
     for attempt in range(MAX_RETRIES):
         if attempt:
-            if adj is None:  # the memoized candidate entry: copy, then change
-                adj = _adjacency(edges)
+            if shared:  # the memoized candidate entry: copy, then change
+                adj = {u: dict(nbrs) for u, nbrs in adj.items()}
                 edges = dict(edges)
+                shared = False
             # the search reads the adjacency, so a pair with no alternative
             # left leaves it there only
             u, v = key = path_edges[0].u, path_edges[0].v

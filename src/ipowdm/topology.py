@@ -80,8 +80,8 @@ class Topology:
 
     ``k_shortest_paths`` memoizes its results on the instance, and so does
     the planner's new-lightpath edge build (``_aux_memo``, whose edges, keys
-    and alternative tuples are interned in ``_aux_intern``; it also holds the
-    adjacency of the hop-by-hop edges) and the first route over a
+    and alternative tuples are interned in ``_aux_intern``; each entry also
+    holds its edges' adjacency) and the first route over a
     new-lightpath-only graph (``_route_memo``, an edge tuple or None per
     graph key), so every run planned on the same object shares them; they
     are freed with it.

@@ -461,8 +461,14 @@ class TestCandidateMemo:
                     fresh = provision_all(mk_topo("t", DETOUR), m, arch, cfg, catalog)
                     warm = provision_all(shared, m, arch, cfg, catalog)
                     assert state_digest(warm) == state_digest(fresh), (catalog, k, arch)
-                    # the candidate edges carry this plan's penalty and k paths
+                    # the candidate edges carry this plan's penalty and k
+                    # paths: graph key, edges and adjacency, before and after
+                    # the plan, since TrIP's graph holds only grooming pairs
                     for demand in m.demands:
+                        for state in (NetworkState(shared, arch, cfg, catalog), warm):
+                            new = NetworkState(mk_topo("t", DETOUR), arch, cfg, catalog)
+                            assert _candidate_edges(state, demand) == _candidate_edges(
+                                new, demand), (catalog, k, arch, demand)
                         assert build_auxiliary_graph(
                             NetworkState(shared, arch, cfg, catalog), demand
                         ) == build_auxiliary_graph(
@@ -478,7 +484,7 @@ class TestCandidateMemo:
         def subpaths(catalog):
             # the candidate edges themselves: TrIP's graph holds grooming pairs only
             state = NetworkState(topo, arch, PlannerConfig(), catalog)
-            _, edges = _candidate_edges(state, demand)
+            _, edges, _ = _candidate_edges(state, demand)
             return {e.subpath for alts in edges.values() for e in alts}
 
         short = subpaths(SHORT_REACH)
@@ -524,10 +530,18 @@ class TestCandidateMemo:
                           provision_all(topo, m, arch))
                 for state in states:
                     for demand in m.demands:
-                        for (u, v), alts in build_auxiliary_graph(state, demand).items():
-                            assert all((e.u, e.v) == (u, v) for e in alts)
-                            order = [(e.weight, e.kind, e.lp_id, e.subpath) for e in alts]
-                            assert all(a < b for a, b in zip(order, order[1:])), order
+                        # the candidate edges too: on the empty state TrIP's
+                        # graph is empty, having no grooming pair
+                        _, candidates, adj = _candidate_edges(state, demand)
+                        for graph in (build_auxiliary_graph(state, demand), candidates):
+                            for (u, v), alts in graph.items():
+                                assert all((e.u, e.v) == (u, v) for e in alts)
+                                order = [(e.weight, e.kind, e.lp_id, e.subpath) for e in alts]
+                                assert all(a < b for a, b in zip(order, order[1:])), order
+                        # the adjacency holds each candidate pair's best weight
+                        assert adj == {u: {v: alts[0].weight for (x, v), alts in
+                                           candidates.items() if x == u}
+                                       for u in {u for u, _ in candidates}}
 
 
 class TestAuxShortestPath:
@@ -635,10 +649,10 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             scan = reference_engine.grooming_edges(state, demand)
             assert {k: alts for k, alts in groom.items() if alts} == {
                 key: sorted(alts) for key, alts in scan.items()}
-            key, _ = _candidate_edges(state, demand)
+            key, _, _ = _candidate_edges(state, demand)
             if key in topo._route_memo:
-                _, fresh = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
-                                            demand)
+                _, fresh, _ = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
+                                               demand)
                 found = _aux_shortest_path(fresh, demand.src, demand.dst)
                 assert topo._route_memo[key] == (None if found is None else tuple(found))
 
