@@ -131,10 +131,14 @@ def average_rows(rows: list[RunResult]) -> list[dict]:
 
 
 def compare(averages: list[dict], baseline: str) -> list[dict]:
-    """Percentage savings per power category and total versus a baseline arch."""
+    """Percentage savings per power category and total versus a baseline arch
+    that ``averages`` must hold; raises ValueError otherwise."""
     base = {
         (e["topology"], e["scenario"]): e for e in averages if e["arch"] == baseline
     }
+    if not base:
+        present = ", ".join(sorted({e["arch"] for e in averages})) or "none"
+        raise ValueError(f"baseline {baseline} has no rows; architectures present: {present}")
     out = []
     for e in sorted(averages, key=lambda e: (e["topology"], e["scenario"], e["arch"])):
         b = base.get((e["topology"], e["scenario"]))

@@ -19,7 +19,11 @@ channels). Each sub-flow is routed on an auxiliary graph: grooming edges
 reuse residual lightpath capacity at strongly reduced weight, candidate edges
 open new lightpaths at physical length plus a small per-lightpath penalty.
 Each architecture builds only the part of it that it searches; see
-:func:`build_auxiliary_graph`.
+:func:`build_auxiliary_graph` and :func:`_route_flow`.
+
+TrZR's end-to-end grooming is the one demand per node pair, routed as one
+flow, plus the minimum-channel split: no TrZR flow ever finds a lightpath
+between its endpoints, so TrZR only opens new lightpaths.
 """
 
 from __future__ import annotations
@@ -139,8 +143,8 @@ class NetworkState:
     Lightpaths enter and leave through :meth:`add` / :meth:`remove` and change
     load through :meth:`carry` / :meth:`release`, which keep ``groomable``
     (residual -> {lp_id: grooming edge}) holding exactly the lightpaths that
-    can take another flow: residual left and, under intermediate grooming,
-    fewer than ``GROOM_MAX_FLOWS_PER_LP`` flows.
+    can take another flow: residual left and fewer than
+    ``GROOM_MAX_FLOWS_PER_LP`` flows; none under TrZR, which never grooms.
     """
 
     def __init__(self, topo: Topology, arch: str, cfg: PlannerConfig, catalog=DEFAULT_CATALOG):
@@ -152,8 +156,7 @@ class NetworkState:
         self.catalog = catalog
         self.lightpaths: dict[int, Lightpath] = {}
         self.groomable: dict[int, dict[int, AuxEdge]] = {}
-        self._max_flows = (GROOM_MAX_FLOWS_PER_LP if self.arch.intermediate_ip_grooming
-                           else float("inf"))
+        self._max_flows = GROOM_MAX_FLOWS_PER_LP if self.arch.intermediate_ip_grooming else 0
         self.occupancy: dict[tuple[str, str], set[int]] = {
             f: set() for f in topo.directed_fibers()
         }
@@ -410,13 +413,12 @@ def build_auxiliary_graph(
     A node pair's grooming edges are the stored edges of ``state.groomable``'s
     buckets with residual >= the demand's rate, merged with that pair's
     candidate edges (:func:`_candidate_edges`) into a fresh sorted list.
-    Each architecture gets only the pairs it searches:
+    Only the architectures that groom at intermediate routers search it, and
+    each gets only the pairs it searches:
 
     * TrIP, TrIPandZR: the grooming pairs; the groom chain searches those
       whose best edge grooms, and new lightpaths are routed over the
       candidate edges alone (see :func:`_route_flow`);
-    * TrZR: the one pair (src, dst), whose grooming edges join the demand's
-      endpoints and whose candidates are the end-to-end paths;
     * OpIP: every fiber, with the grooming pairs laid over the memoized
       candidate edges (an :class:`_OverlaidGraph`), so no candidate list is
       copied; its adjacency is the memoized one, copied per node, with the
@@ -425,23 +427,17 @@ def build_auxiliary_graph(
     Candidate-only pairs hold the memoized tuples, so callers replace a
     pair's alternatives rather than change them.
     """
-    arch = state.arch
-    ends = None if arch.intermediate_ip_grooming else (demand.src, demand.dst)
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
     for residual, bucket in state.groomable.items():  # order is free: alternatives sort
         if residual < demand.rate_gbps:
             continue
         for edge in bucket.values():
-            key = (edge.u, edge.v)
-            if ends is None or key == ends:
-                edges.setdefault(key, []).append(edge)
+            edges.setdefault((edge.u, edge.v), []).append(edge)
     _, candidates, adj = _candidate_edges(state, demand)
     for key, alts in edges.items():
         alts.extend(candidates.get(key, ()))
         alts.sort()
-    if arch.optical_bypass:
-        if ends is not None and not edges and ends in candidates:
-            edges[ends] = candidates[ends]  # TrZR's one pair grooms nothing
+    if state.arch.optical_bypass:
         return edges
     graph = _OverlaidGraph(candidates)
     graph.update(edges)
@@ -601,24 +597,16 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     """Place ``flow`` over the best route of its architecture's graph, trying
     the next best after each route that fails to place, up to ``MAX_RETRIES``.
 
-    A retry drops the failed route's first edge: its node pair falls back to
-    its next alternative, or leaves the graph with the last one.
+    TrIP and TrIPandZR first try a groom chain; then every bypass flow, TrZR's
+    too, searches its candidate edges alone (OpIP its aux graph). A retry
+    drops the failed route's first edge: its node pair falls back to its next
+    alternative (TrZR's one pair: its next path), or leaves the graph.
     """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
-    edges = build_auxiliary_graph(state, demand)
     arch = state.arch
-    if not arch.intermediate_ip_grooming:
-        # TrZR: one node pair, so each route is its next alternative
-        alts = edges.get((flow.src, flow.dst), ())
-        for attempt in range(min(len(alts), MAX_RETRIES)):
-            try:
-                _place_chain(state, flow, (alts[attempt],))
-                return
-            except (NoSpectrum, NoFeasibleMode):
-                pass
-        raise BlockedError(demand, "no_spectrum" if alts else "no_feasible_mode")
     if arch.optical_bypass:
-        if _try_groom_chain(state, flow, edges):
+        if arch.intermediate_ip_grooming and _try_groom_chain(
+                state, flow, build_auxiliary_graph(state, demand)):
             return
         # new lightpaths only: that graph is one memoized candidate entry, so
         # its first route is memoized too; the entry is copied only when that
@@ -631,6 +619,7 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
         path_edges = memo[graph]
         shared = True
     else:
+        edges = build_auxiliary_graph(state, demand)
         adj = edges.adjacency  # OpIP: the graph's own copy
         path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
         shared = False

@@ -83,8 +83,9 @@ class Topology:
     and alternative tuples are interned in ``_aux_intern``; each entry also
     holds its edges' adjacency) and the first route over a
     new-lightpath-only graph (``_route_memo``, an edge tuple or None per
-    graph key), so every run planned on the same object shares them; they
-    are freed with it.
+    graph key; every bypass architecture's new lightpaths, TrZR's end-to-end
+    paths included, start from it), so every run planned on the same object
+    shares them; they are freed with it.
     """
 
     name: str

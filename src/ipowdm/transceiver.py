@@ -88,6 +88,7 @@ def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
     if not isinstance(rows, list) or not rows:
         raise CatalogError("catalog field 'modes' must be a non-empty list")
     modes = []
+    seen: dict[tuple, int] = {}  # key -> index; plans and merges name modes by key
     for i, row in enumerate(rows):
         if not isinstance(row, dict):
             raise CatalogError(f"catalog mode #{i} must be a JSON object")
@@ -98,6 +99,8 @@ def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
             mode = TransceiverMode(**{f.name: row[f.name] for f in fields(TransceiverMode)})
         except CatalogError as exc:
             raise CatalogError(f"catalog mode #{i}: {exc}") from None
+        if seen.setdefault(mode.key, i) != i:
+            raise CatalogError(f"catalog modes #{seen[mode.key]} and #{i} are both {mode}")
         # lengths and units load as floats, whatever the JSON spelling
         modes.append(replace(mode, reach_km=float(mode.reach_km),
                              power_units=float(mode.power_units),

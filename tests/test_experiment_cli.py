@@ -129,6 +129,8 @@ class TestReporting:
         trip = next(e for e in averages if e["arch"] == "TrIP")
         expected = 100.0 * (opip["power_total"] - trip["power_total"]) / opip["power_total"]
         assert by_arch["TrIP"]["saving_power_total_pct"] == pytest.approx(expected)
+        with pytest.raises(ValueError, match="architectures present: none"):
+            compare([], "OpIP")
 
 
 class TestCli:
@@ -220,6 +222,16 @@ class TestCli:
         header = text.splitlines()[0].split(",")
         assert "saving_power_total_pct" in header
         assert "baseline" in header
+
+    def test_compare_absent_baseline_is_one_line_error(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "runs"
+        main(["experiment", "--topology", toy_path, "--scenario", "TS1",
+              "--arch", "OpIP", "--arch", "TrIP", "--runs", "1", "--out", str(out)])
+        capsys.readouterr()
+        rc = main(["compare", "--in", str(out / "rows.csv"), "--baseline", "TrZR"])
+        assert rc == 2
+        assert capsys.readouterr() == ("", (
+            "ipowdm: error: baseline TrZR has no rows; architectures present: OpIP, TrIP\n"))
 
     def test_compare_bad_value_is_one_line_error(self, toy_path, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -139,6 +139,15 @@ class TestTransparentProvisioning:
             flow_id, _ = lp.carried[0]
             assert flow_id.startswith(f"{lp.route[0]}->{lp.route[-1]}")
 
+    def test_trzr_keeps_no_grooming_index(self):
+        # 400G modes only: three lightpaths keep spare capacity, yet no other
+        # TrZR flow joins the same endpoints, so nothing is indexed
+        m = matrix(Demand("a", "b", 100), Demand("a", "c", 500), Demand("c", "a", 300))
+        st = provision_all(mk_topo("t", LINE_SHORT), m, "TrZR", catalog=TIED_POWER)
+        assert sorted(lp.residual for lp in st.lightpaths.values()) == [0, 100, 300, 300]
+        st.audit()
+        assert st.groomable == {}
+
     def test_trzr_multi_channel_split(self):
         st = provision(LINE_SHORT, "TrZR", Demand("a", "c", 600))
         # 600G exceeds one channel: minimum split is 400+200 on two lightpaths
@@ -632,9 +641,10 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
 def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
     # the blocking and undo setting above, where lightpaths open, fill, empty
     # and merge: after every demand the grooming edges drawn from the index
-    # equal a scan of the lightpaths, and every memoized first new-lightpath
-    # route equals a search over candidate edges built on a copy of the
-    # topology that the engine never plans on
+    # equal a scan of the lightpaths where the architecture grooms at
+    # intermediate routers (TrZR keeps no index), and every memoized first
+    # new-lightpath route, TrZR's included, equals a search over candidate
+    # edges built on a copy of the topology that the engine never plans on
     topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
     topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
     copy = dataclasses.replace(topo)
@@ -643,12 +653,15 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
 
     def check(state):
         state.audit()
+        if not state.arch.intermediate_ip_grooming:
+            assert state.groomable == {}
         for demand in probes:
-            groom = {key: [e for e in alts if e.kind == _GROOM]
-                     for key, alts in build_auxiliary_graph(state, demand).items()}
-            scan = reference_engine.grooming_edges(state, demand)
-            assert {k: alts for k, alts in groom.items() if alts} == {
-                key: sorted(alts) for key, alts in scan.items()}
+            if state.arch.intermediate_ip_grooming:
+                groom = {key: [e for e in alts if e.kind == _GROOM]
+                         for key, alts in build_auxiliary_graph(state, demand).items()}
+                scan = reference_engine.grooming_edges(state, demand)
+                assert {k: alts for k, alts in groom.items() if alts} == {
+                    key: sorted(alts) for key, alts in scan.items()}
             key, _, _ = _candidate_edges(state, demand)
             if key in topo._route_memo:
                 _, fresh, _ = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
@@ -667,7 +680,7 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             mp.setattr(rmsa, "route_demand", checked_route_demand)
             state = provision_all(topo, m, arch)
         check(state)
-    assert topo._route_memo
+    assert rmsa._END_TO_END in {key[0] for key in topo._route_memo}  # TrZR's routes
 
 
 # ZR+ 16QAM reaches 300 km only, so the reach rule drops the 400 and 500 km
