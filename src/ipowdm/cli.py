@@ -28,6 +28,7 @@ from .dimensioning import (
 from .experiment import (
     BlockingError,
     ExperimentConfig,
+    _csv_text,
     average_rows,
     compare,
     dicts_to_csv,
@@ -131,13 +132,10 @@ def cmd_power(args) -> int:
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        lines = ["node,power_zr,power_ip,power_optical,power_total"]
-        for n, pb in sorted(per_node.items()):
-            lines.append(f"{n},{pb.zr_zrplus:.4f},{pb.ip_router:.4f},"
-                         f"{pb.optical:.4f},{pb.total:.4f}")
-        lines.append(f"TOTAL,{total.zr_zrplus:.4f},{total.ip_router:.4f},"
-                     f"{total.optical:.4f},{total.total:.4f}")
-        text = "\n".join(lines) + "\n"
+        table = [*sorted(per_node.items()), ("TOTAL", total)]
+        text = _csv_text(("node", "power_zr", "power_ip", "power_optical", "power_total"),
+                         ([n, *map(float, (pb.zr_zrplus, pb.ip_router, pb.optical, pb.total))]
+                          for n, pb in table))
     _write(args.out, None, text)
     return 0
 

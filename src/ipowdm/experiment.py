@@ -132,18 +132,20 @@ def average_rows(rows: list[RunResult]) -> list[dict]:
 
 def compare(averages: list[dict], baseline: str) -> list[dict]:
     """Percentage savings per power category and total versus a baseline arch
-    that ``averages`` must hold; raises ValueError otherwise."""
+    that every (topology, scenario) cell of ``averages`` holds; else ValueError."""
     base = {
         (e["topology"], e["scenario"]): e for e in averages if e["arch"] == baseline
     }
     if not base:
         present = ", ".join(sorted({e["arch"] for e in averages})) or "none"
         raise ValueError(f"baseline {baseline} has no rows; architectures present: {present}")
+    missing = sorted({(e["topology"], e["scenario"]) for e in averages} - base.keys())
+    if missing:
+        cells = ", ".join(f"{topo}/{scen}" for topo, scen in missing)
+        raise ValueError(f"baseline {baseline} has no rows for {cells}")
     out = []
     for e in sorted(averages, key=lambda e: (e["topology"], e["scenario"], e["arch"])):
-        b = base.get((e["topology"], e["scenario"]))
-        if b is None:
-            continue
+        b = base[(e["topology"], e["scenario"])]
         entry = {
             "topology": e["topology"],
             "scenario": e["scenario"],

@@ -28,8 +28,9 @@ between its endpoints, so TrZR only opens new lightpaths.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from itertools import pairwise
+from itertools import pairwise, tee
 from typing import NamedTuple
 
 from .topology import Topology, k_shortest_paths, lexicographic_dijkstra
@@ -308,12 +309,15 @@ class AuxEdge(NamedTuple):
 _HOP, _END_TO_END, _SUBPATH = range(3)
 
 
-def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
-    """(longest hop, {(u, v): alternatives best-first}, adjacency) of one
-    memo entry; the adjacency holds each pair's best weight.
-
-    Edges, keys and alternative tuples are interned in ``topology._aux_intern``,
-    so entries that share a subpath share its objects.
+def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str,
+                     limit: float = float("inf")):
+    """(longest hop, {(u, v): alternatives best-first}, adjacency, routes) of
+    one memo entry: the edges whose longest hop is within ``limit``, each
+    pair's best weight, and the graph's :func:`_routes` from ``src`` to
+    ``dst`` in a tee that is never advanced, so it keeps every route found so
+    far (None for the hop-by-hop entry, which serves every node pair). Edges,
+    keys and alternative tuples are interned in ``topology._aux_intern``, so
+    entries that share a subpath share its objects.
     """
     topo = state.topology
     intern = topo._aux_intern.setdefault
@@ -333,6 +337,8 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
     longest = 0.0
     for sub in subpaths:
         lengths = topo.path_link_lengths(sub)
+        if max(lengths) > limit:
+            continue
         longest = max(longest, *lengths)
         edge = AuxEdge(sum(lengths) + base, _NEW, -1, sub, sub[0], sub[-1])
         alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
@@ -340,7 +346,33 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str):
     for key, edges in alts.items():
         edges = tuple(sorted(edges))
         entry[intern(key, key)] = intern(edges, edges)
-    return longest, entry, _adjacency(entry)
+    adj = _adjacency(entry)
+    return longest, entry, adj, None if shape == _HOP else tee(_routes(entry, adj, src, dst), 1)[0]
+
+
+def _routes(edges, adj, src, dst):
+    """Up to ``MAX_RETRIES`` routes from ``src`` to ``dst`` over ``edges``
+    (searched through ``adj``, each pair's best weight), best first: the
+    routes a flow tries in turn. After each route its first edge's node pair
+    falls back to its next alternative, or leaves the graph, which is copied
+    before its first change. No state is read, so the routes depend only on
+    the graph."""
+    for attempt in range(MAX_RETRIES):
+        if attempt:
+            if attempt == 1:
+                edges, adj = dict(edges), {u: dict(nbrs) for u, nbrs in adj.items()}
+            # the search reads the adjacency, so a pair with no alternative
+            # left leaves it there only
+            u, v = key = route[0].u, route[0].v
+            rest = edges[key] = edges[key][1:]
+            if rest:
+                adj[u][v] = rest[0].weight
+            else:
+                del adj[u][v]
+        route = _aux_shortest_path(edges, src, dst, adj)
+        if route is None:
+            return
+        yield route
 
 
 def _reach_limit(state: NetworkState, rate: int) -> float:
@@ -361,17 +393,18 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
 
 
 def _candidate_edges(state: NetworkState, demand: Demand):
-    """(graph key, {(u, v): alternatives}, adjacency) of the new-lightpath
-    edges for ``demand``; the key is the memo key plus the reach limit
-    applied, so equal keys name equal graphs. The dict and the adjacency are
-    shared: callers must not change them.
+    """({(u, v): alternatives}, adjacency, routes) of the new-lightpath edges
+    for ``demand``; ``routes`` iterates a copy of the graph's memoized
+    :func:`_routes` (None under OpIP). The dict and the adjacency are shared:
+    callers must not change them.
 
     The edges depend only on the topology, the edge shape, (src, dst), ``k``
     and the new-lightpath penalty, so each entry is built once per topology
     and kept in ``topology._aux_memo``. The reach rule runs here, and only
     when the demand's limit is shorter than the entry's longest hop: an edge
-    is kept when its longest hop is within :func:`_reach_limit`. Hop-by-hop
-    edges are never filtered.
+    is kept when its longest hop is within :func:`_reach_limit`, and the kept
+    edges are memoized as an entry of their own under the key plus the limit.
+    Hop-by-hop edges are never filtered.
     """
     arch = state.arch
     if not arch.optical_bypass:
@@ -383,18 +416,14 @@ def _candidate_edges(state: NetworkState, demand: Demand):
     entry = memo.get(key)
     if entry is None:
         entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
-    longest, alternatives, adj = entry
-    if shape == _HOP:
-        return key, alternatives, adj
-    limit = _reach_limit(state, demand.rate_gbps)
-    key += (limit,)
-    if limit >= longest:
-        return key, alternatives, adj
-    topo = state.topology
-    kept = ((uv, tuple(e for e in alts if max(topo.path_link_lengths(e.subpath)) <= limit))
-            for uv, alts in alternatives.items())
-    alternatives = {uv: alts for uv, alts in kept if alts}
-    return key, alternatives, _adjacency(alternatives)
+    limit = float("inf") if shape == _HOP else _reach_limit(state, demand.rate_gbps)
+    if limit < entry[0]:
+        key += (limit,)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst, limit)
+    _, alternatives, adj, routes = entry
+    return alternatives, adj, copy.copy(routes)
 
 
 class _OverlaidGraph(dict):
@@ -433,7 +462,7 @@ def build_auxiliary_graph(
             continue
         for edge in bucket.values():
             edges.setdefault((edge.u, edge.v), []).append(edge)
-    _, candidates, adj = _candidate_edges(state, demand)
+    candidates, adj, _ = _candidate_edges(state, demand)
     for key, alts in edges.items():
         alts.extend(candidates.get(key, ()))
         alts.sort()
@@ -595,12 +624,12 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
 
 def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     """Place ``flow`` over the best route of its architecture's graph, trying
-    the next best after each route that fails to place, up to ``MAX_RETRIES``.
+    the next best after each route that fails to place (see :func:`_routes`).
 
     TrIP and TrIPandZR first try a groom chain; then every bypass flow, TrZR's
-    too, searches its candidate edges alone (OpIP its aux graph). A retry
-    drops the failed route's first edge: its node pair falls back to its next
-    alternative (TrZR's one pair: its next path), or leaves the graph.
+    too, takes the memoized routes over its candidate edges alone, and OpIP
+    searches its aux graph. A flow with no route blocks as "no_feasible_mode",
+    one whose every route failed to place as "no_spectrum".
     """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     arch = state.arch
@@ -608,44 +637,18 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
         if arch.intermediate_ip_grooming and _try_groom_chain(
                 state, flow, build_auxiliary_graph(state, demand)):
             return
-        # new lightpaths only: that graph is one memoized candidate entry, so
-        # its first route is memoized too; the entry is copied only when that
-        # route fails to place
-        graph, edges, adj = _candidate_edges(state, demand)
-        memo = state.topology._route_memo
-        if graph not in memo:
-            found = _aux_shortest_path(edges, flow.src, flow.dst, adj)
-            memo[graph] = None if found is None else tuple(found)
-        path_edges = memo[graph]
-        shared = True
+        _, _, routes = _candidate_edges(state, demand)
     else:
-        edges = build_auxiliary_graph(state, demand)
-        adj = edges.adjacency  # OpIP: the graph's own copy
-        path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
-        shared = False
-    for attempt in range(MAX_RETRIES):
-        if attempt:
-            if shared:  # the memoized candidate entry: copy, then change
-                adj = {u: dict(nbrs) for u, nbrs in adj.items()}
-                edges = dict(edges)
-                shared = False
-            # the search reads the adjacency, so a pair with no alternative
-            # left leaves it there only
-            u, v = key = path_edges[0].u, path_edges[0].v
-            rest = edges[key] = edges[key][1:]
-            if rest:
-                adj[u][v] = rest[0].weight
-            else:
-                del adj[u][v]
-            path_edges = _aux_shortest_path(edges, flow.src, flow.dst, adj)
-        if path_edges is None:
-            raise BlockedError(demand, "no_spectrum" if attempt else "no_feasible_mode")
+        graph = build_auxiliary_graph(state, demand)
+        routes = _routes(graph, graph.adjacency, flow.src, flow.dst)
+    failed = False
+    for route in routes:
         try:
-            _place_chain(state, flow, path_edges)
+            _place_chain(state, flow, route)
             return
         except (NoSpectrum, NoFeasibleMode):
-            pass
-    raise BlockedError(demand, "no_spectrum")
+            failed = True
+    raise BlockedError(demand, "no_spectrum" if failed else "no_feasible_mode")
 
 
 def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:

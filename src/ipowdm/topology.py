@@ -81,11 +81,9 @@ class Topology:
     ``k_shortest_paths`` memoizes its results on the instance, and so does
     the planner's new-lightpath edge build (``_aux_memo``, whose edges, keys
     and alternative tuples are interned in ``_aux_intern``; each entry also
-    holds its edges' adjacency) and the first route over a
-    new-lightpath-only graph (``_route_memo``, an edge tuple or None per
-    graph key; every bypass architecture's new lightpaths, TrZR's end-to-end
-    paths included, start from it), so every run planned on the same object
-    shares them; they are freed with it.
+    holds its edges' adjacency and the routes found over them so far, which
+    every bypass architecture's new lightpaths take, retries included), so
+    every run planned on the same object shares them; they are freed with it.
     """
 
     name: str
@@ -96,7 +94,6 @@ class Topology:
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _route_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes))

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -169,6 +171,19 @@ class TestCli:
         for i in range(1, 5):
             assert float(total[i]) == pytest.approx(sum(float(c[i]) for c in cols))
 
+    def test_power_csv_quotes_node_names(self, tmp_path, capsys):
+        path = tmp_path / "comma.json"
+        path.write_text(mk_topo("comma", [("Frankfurt, Main", "b", 100), ("b", "c", 200),
+                                          ("Frankfurt, Main", "c", 400)]).to_json())
+        assert main(["power", "--topology", str(path), "--arch", "TrIP"]) == 0
+        header, *records = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == ["node", "power_zr", "power_ip", "power_optical", "power_total"]
+        assert [r[0] for r in records] == ["Frankfurt, Main", "b", "c", "TOTAL"]
+        assert all(len(r) == len(header) for r in records)
+        *nodes, total = records
+        for i in range(1, 5):
+            assert float(total[i]) == pytest.approx(sum(float(r[i]) for r in nodes))
+
     def test_experiment_outputs_and_reproducibility(self, toy_path, tmp_path, capsys):
         argv = [
             "experiment", "--topology", toy_path, "--scenario", "TS1",
@@ -232,6 +247,22 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr() == ("", (
             "ipowdm: error: baseline TrZR has no rows; architectures present: OpIP, TrIP\n"))
+
+    def test_compare_partial_baseline_is_one_line_error(self, tmp_path, capsys):
+        # every architecture on toy, toy2 without the baseline: no cell is
+        # dropped without a word
+        toy2 = dataclasses.replace(TOY, name="toy2")
+        rows = run_experiment(ExperimentConfig(topologies=[TOY, toy2], scenarios=[TS1],
+                                               seeds=[0]))
+        rows = [r for r in rows if (r.topology, r.arch) != ("toy2", "TrIP")]
+        with pytest.raises(ValueError, match="^baseline TrIP has no rows for toy2/TS1$"):
+            compare(average_rows(rows), "TrIP")
+        path = tmp_path / "rows.csv"
+        path.write_text(rows_to_csv(rows))
+        rc = main(["compare", "--in", str(path), "--baseline", "TrIP"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "ipowdm: error: baseline TrIP has no rows for toy2/TS1\n")
 
     def test_compare_bad_value_is_one_line_error(self, toy_path, tmp_path, capsys):
         out = tmp_path / "runs"

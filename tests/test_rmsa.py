@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -459,6 +460,12 @@ SHORT_REACH = (
 DEAR = tuple(dataclasses.replace(m, cost_units=m.cost_units * 3) for m in DEFAULT_CATALOG)
 
 
+def candidate_graph(state, demand):
+    """``_candidate_edges`` with its routes read to the end of the sequence."""
+    edges, adj, routes = _candidate_edges(state, demand)
+    return edges, adj, None if routes is None else list(routes)
+
+
 class TestCandidateMemo:
     def test_shared_topology_plans_like_fresh_ones(self):
         shared = mk_topo("t", DETOUR)
@@ -471,18 +478,23 @@ class TestCandidateMemo:
                     warm = provision_all(shared, m, arch, cfg, catalog)
                     assert state_digest(warm) == state_digest(fresh), (catalog, k, arch)
                     # the candidate edges carry this plan's penalty and k
-                    # paths: graph key, edges and adjacency, before and after
+                    # paths: edges, adjacency and routes, before and after
                     # the plan, since TrIP's graph holds only grooming pairs
                     for demand in m.demands:
                         for state in (NetworkState(shared, arch, cfg, catalog), warm):
                             new = NetworkState(mk_topo("t", DETOUR), arch, cfg, catalog)
-                            assert _candidate_edges(state, demand) == _candidate_edges(
+                            assert candidate_graph(state, demand) == candidate_graph(
                                 new, demand), (catalog, k, arch, demand)
-                        assert build_auxiliary_graph(
-                            NetworkState(shared, arch, cfg, catalog), demand
-                        ) == build_auxiliary_graph(
-                            NetworkState(mk_topo("t", DETOUR), arch, cfg, catalog), demand
-                        ), (catalog, k, arch, demand)
+                        # the searched graph, on empty and on planned states;
+                        # TrZR, which never grooms, searches none
+                        empty = NetworkState(mk_topo("t", DETOUR), arch, cfg, catalog)
+                        for state, other in ((NetworkState(shared, arch, cfg, catalog), empty),
+                                             (warm, fresh)):
+                            graph = build_auxiliary_graph(state, demand)
+                            assert graph == build_auxiliary_graph(other, demand), (
+                                catalog, k, arch, demand)
+                            if not ARCHITECTURES[arch].intermediate_ip_grooming:
+                                assert graph == {}
         assert shared._aux_memo
 
     @pytest.mark.parametrize("arch", ["TrIP", "TrZR", "TrIPandZR"])
@@ -493,7 +505,7 @@ class TestCandidateMemo:
         def subpaths(catalog):
             # the candidate edges themselves: TrIP's graph holds grooming pairs only
             state = NetworkState(topo, arch, PlannerConfig(), catalog)
-            _, edges, _ = _candidate_edges(state, demand)
+            edges, _, _ = _candidate_edges(state, demand)
             return {e.subpath for alts in edges.values() for e in alts}
 
         short = subpaths(SHORT_REACH)
@@ -507,7 +519,8 @@ class TestCandidateMemo:
     def test_first_route_memo_keys_on_the_reach_limit(self):
         # no mode reaches the 1000 km link; the 650 km hops of a-c-b are
         # beyond SHORT_REACH's 400G reach but within its 200G one, so one
-        # demand's 400G and 100G sub-flows take different first routes
+        # demand's 400G and 100G sub-flows take different first routes, each
+        # memoized with its graph under the key plus its limit
         topo = mk_topo("t", [("a", "b", 1000), ("a", "c", 650), ("c", "b", 650),
                              ("a", "d", 500), ("d", "e", 500), ("e", "b", 500)])
         state = NetworkState(topo, "TrIP", PlannerConfig(), SHORT_REACH)
@@ -515,8 +528,9 @@ class TestCandidateMemo:
         assert {f.rate_gbps: [state.lightpaths[lp_id].route for lp_id, _ in f.placements]
                 for f in flows} == {400: [("a", "d"), ("d", "e"), ("e", "b")],
                                     100: [("a", "c"), ("c", "b")]}
-        assert sorted(route[0].subpath for route in topo._route_memo.values()) == [
-            ("a", "c", "b"), ("a", "d", "e", "b")]
+        first = {key[5:]: next(copy.copy(routes))[0].subpath
+                 for key, (*_, routes) in topo._aux_memo.items()}
+        assert first == {(): ("a", "b"), (600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
 
     def test_grooming_edges_sort_before_and_among_candidates(self):
         # lightpaths opened longest first, so id order is not weight order;
@@ -540,9 +554,13 @@ class TestCandidateMemo:
                 for state in states:
                     for demand in m.demands:
                         # the candidate edges too: on the empty state TrIP's
-                        # graph is empty, having no grooming pair
-                        _, candidates, adj = _candidate_edges(state, demand)
-                        for graph in (build_auxiliary_graph(state, demand), candidates):
+                        # graph is empty, having no grooming pair, and TrZR's
+                        # always is
+                        candidates, adj, _ = _candidate_edges(state, demand)
+                        graph = build_auxiliary_graph(state, demand)
+                        if not state.arch.intermediate_ip_grooming:
+                            assert graph == {}
+                        for graph in (graph, candidates):
                             for (u, v), alts in graph.items():
                                 assert all((e.u, e.v) == (u, v) for e in alts)
                                 order = [(e.weight, e.kind, e.lp_id, e.subpath) for e in alts]
@@ -635,6 +653,23 @@ def test_audit_holds_under_blocking_and_undo(seed, channels):
                 assert sum(f.rate_gbps for f in flows) == demand.rate_gbps
 
 
+def fresh_routes(edges, src, dst):
+    """The routes a flow may try over ``edges``, each found by a search after
+    the drops of the ones before it, on a copy of the graph."""
+    edges = {key: list(alts) for key, alts in edges.items()}
+    found = []
+    while len(found) < rmsa.MAX_RETRIES:
+        route = _aux_shortest_path(edges, src, dst)
+        if route is None:
+            break
+        found.append(route)
+        key = route[0].u, route[0].v
+        del edges[key][0]
+        if not edges[key]:
+            del edges[key]
+    return found
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
 @example(282, 2)  # TrIPandZR's merges remove four lightpaths that can groom
@@ -642,14 +677,17 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
     # the blocking and undo setting above, where lightpaths open, fill, empty
     # and merge: after every demand the grooming edges drawn from the index
     # equal a scan of the lightpaths where the architecture grooms at
-    # intermediate routers (TrZR keeps no index), and every memoized first
-    # new-lightpath route, TrZR's included, equals a search over candidate
-    # edges built on a copy of the topology that the engine never plans on
+    # intermediate routers (TrZR keeps no index), and every memoized
+    # new-lightpath graph, TrZR's included, holds the edges, adjacency and
+    # routes, read to the end of the sequence, of a fresh build and search
+    # on a copy of the topology that the engine never plans on
     topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
     topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
-    copy = dataclasses.replace(topo)
+    twin = dataclasses.replace(topo)
     pairs = sorted({(d.src, d.dst) for d in m.demands})
     probes = [Demand(src, dst, rate) for src, dst in pairs for rate in (100, 200, 300, 400)]
+    expected = {}  # (arch, probe) -> the fresh edges and their routes
+    checked = set()
 
     def check(state):
         state.audit()
@@ -662,12 +700,20 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
                 scan = reference_engine.grooming_edges(state, demand)
                 assert {k: alts for k, alts in groom.items() if alts} == {
                     key: sorted(alts) for key, alts in scan.items()}
-            key, _, _ = _candidate_edges(state, demand)
-            if key in topo._route_memo:
-                _, fresh, _ = _candidate_edges(NetworkState(copy, state.arch.name, state.cfg),
-                                               demand)
-                found = _aux_shortest_path(fresh, demand.src, demand.dst)
-                assert topo._route_memo[key] == (None if found is None else tuple(found))
+            if not state.arch.optical_bypass:
+                continue
+            key = (state.arch.name, demand)
+            if key not in expected:
+                fresh = reference_engine.candidate_edges(
+                    NetworkState(twin, state.arch.name, state.cfg), demand)
+                fresh = {uv: tuple(sorted(alts)) for uv, alts in fresh.items()}
+                expected[key] = fresh, fresh_routes(fresh, demand.src, demand.dst)
+            edges, adj, routes = _candidate_edges(state, demand)
+            fresh, fresh_found = expected[key]
+            assert edges == fresh
+            assert adj == rmsa._adjacency(fresh)
+            assert list(routes) == fresh_found
+            checked.add(state.arch.name)
 
     def checked_route_demand(state, demand, deferred=None):
         try:
@@ -680,7 +726,38 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             mp.setattr(rmsa, "route_demand", checked_route_demand)
             state = provision_all(topo, m, arch)
         check(state)
-    assert rmsa._END_TO_END in {key[0] for key in topo._route_memo}  # TrZR's routes
+    assert "TrZR" in checked  # TrZR's routes
+
+
+def test_memoized_retries_replan_without_a_search():
+    # TrZR on the benchmark's spectrum-tight setting blocks and retries; a
+    # second plan on the same topology takes every route from the memo
+    topo = load_named_topology("g17")
+    topo = dataclasses.replace(topo, grid=ChannelGrid(12, 100))
+    m = generate_traffic(topo, load_scenario("TS3"), 0)
+    search = rmsa.lexicographic_dijkstra
+    runs = []
+    for _ in range(2):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rmsa, "lexicographic_dijkstra",
+                       lambda *args: calls.append(args) or search(*args))
+            state = provision_all(topo, m, "TrZR")
+        runs.append((len(calls), state_digest(state)))
+    assert any(reason == "no_spectrum" for _, reason in state.blocked)
+    assert runs[0][0] > len(m.demands)  # retries searched on the first plan
+    assert runs[1] == (0, runs[0][1])
+
+
+def test_routes_stop_at_max_retries():
+    # 40 parallel a-b alternatives: a flow tries MAX_RETRIES of them, best
+    # first, and the graph it was given is left as it was
+    alts = tuple(AuxEdge(float(i), _NEW, -1, ("a", "b"), "a", "b") for i in range(40))
+    edges = {("a", "b"): alts}
+    adj = {"a": {"b": 0.0}}
+    assert [route[0] for route in rmsa._routes(edges, adj, "a", "b")] == list(
+        alts[:rmsa.MAX_RETRIES])
+    assert edges == {("a", "b"): alts} and adj == {"a": {"b": 0.0}}
 
 
 # ZR+ 16QAM reaches 300 km only, so the reach rule drops the 400 and 500 km
