@@ -172,6 +172,10 @@ class NetworkState:
     def paths(self, src: str, dst: str) -> tuple[tuple[str, ...], ...]:
         return k_shortest_paths(self.topology, src, dst, self.cfg.k)
 
+    def shortest_km(self, src: str, dst: str) -> float:
+        """Length of the shortest physical route; k=1, so no spur search runs."""
+        return self.topology.path_length_km(k_shortest_paths(self.topology, src, dst, 1)[0])
+
     def new_lp_id(self) -> int:
         self._next_id += 1
         return self._next_id
@@ -322,21 +326,26 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str,
     topo = state.topology
     intern = topo._aux_intern.setdefault
     if shape == _HOP:
-        subpaths = topo.directed_fibers()
+        subpaths = {fiber: [topo.link_length(*fiber)] for fiber in topo.directed_fibers()}
         base = OPAQUE_HOP_WEIGHT
     else:
-        paths = state.paths(src, dst)
-        if shape == _END_TO_END:
-            subpaths = paths
-        else:
-            subpaths = dict.fromkeys(p[i:j + 1] for p in paths
-                                     for i in range(len(p) - 1)
-                                     for j in range(i + 1, len(p)))
+        # subpath -> its link lengths, in order of first occurrence; each
+        # path's lengths are looked up once and sliced for its subpaths
+        subpaths = {}
+        for p in state.paths(src, dst):
+            lengths = topo.path_link_lengths(p)
+            if shape == _END_TO_END:
+                subpaths[p] = lengths
+                continue
+            for i in range(len(p) - 1):
+                for j in range(i + 1, len(p)):
+                    sub = p[i:j + 1]
+                    if sub not in subpaths:
+                        subpaths[sub] = lengths[i:j]
         base = state._new_lp_penalty
     alts: dict[tuple[str, str], list[AuxEdge]] = {}
     longest = 0.0
-    for sub in subpaths:
-        lengths = topo.path_link_lengths(sub)
+    for sub, lengths in subpaths.items():
         if max(lengths) > limit:
             continue
         longest = max(longest, *lengths)
@@ -450,8 +459,10 @@ def build_auxiliary_graph(
       candidate edges alone (see :func:`_route_flow`);
     * OpIP: every fiber, with the grooming pairs laid over the memoized
       candidate edges (an :class:`_OverlaidGraph`), so no candidate list is
-      copied; its adjacency is the memoized one, copied per node, with the
-      grooming pairs' best weights laid over it.
+      copied; its adjacency is a shallow copy of the memoized one in which
+      only the rows of the grooming pairs' sources are copied, to take those
+      pairs' best weights (:func:`_routes` copies every row before it drops
+      an edge, so the memoized rows are never written).
 
     Candidate-only pairs hold the memoized tuples, so callers replace a
     pair's alternatives rather than change them.
@@ -470,9 +481,12 @@ def build_auxiliary_graph(
         return edges
     graph = _OverlaidGraph(candidates)
     graph.update(edges)
-    graph.adjacency = adj = {u: dict(nbrs) for u, nbrs in adj.items()}
+    graph.adjacency = ours = dict(adj)
     for (u, v), alts in edges.items():
-        adj[u][v] = alts[0].weight
+        row = ours[u]
+        if row is adj[u]:  # still the memoized row: copy it before writing
+            row = ours[u] = dict(row)
+        row[v] = alts[0].weight
     return graph
 
 
@@ -614,7 +628,7 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
     if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return False
     chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
-    if chain_km > state.topology.path_length_km(state.paths(flow.src, flow.dst)[0]):
+    if chain_km > state.shortest_km(flow.src, flow.dst):
         return False
     # every edge grooms a lightpath whose residual was checked when the
     # graph was built, so placing the chain cannot fail
@@ -660,7 +674,7 @@ def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:
     """
     if not state.arch.ip_regeneration:
         return [demand.rate_gbps]  # min-channel split handled at realization
-    dist = state.topology.path_length_km(state.paths(demand.src, demand.dst)[0])
+    dist = state.shortest_km(demand.src, demand.dst)
     try:
         unit = select_mode_max_rate(dist, state.catalog).rate_gbps
     except NoFeasibleMode:
@@ -795,7 +809,7 @@ def provision_all(
     # Stage 2: shortest parked flows first, so longer ones can chain over the
     # short lightpaths these create in addition to the stage-1 mesh.
     def _deferred_km(item: tuple[Demand, FlowRecord]) -> float:
-        return topo.path_length_km(state.paths(item[1].src, item[1].dst)[0])
+        return state.shortest_km(item[1].src, item[1].dst)
 
     for demand, flow in sorted(deferred, key=_deferred_km):
         if demand.key not in state.records:

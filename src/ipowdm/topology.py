@@ -15,10 +15,10 @@ pair of directed fibers with independent spectrum occupancy.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from importlib import resources
 from pathlib import Path
 
@@ -78,12 +78,14 @@ class Link:
 class Topology:
     """Validated, immutable physical topology. Safe to share across runs.
 
-    ``k_shortest_paths`` memoizes its results on the instance, and so does
-    the planner's new-lightpath edge build (``_aux_memo``, whose edges, keys
-    and alternative tuples are interned in ``_aux_intern``; each entry also
-    holds its edges' adjacency and the routes found over them so far, which
-    every bypass architecture's new lightpaths take, retries included), so
-    every run planned on the same object shares them; they are freed with it.
+    ``k_shortest_paths`` memoizes its results on the instance (``_ksp_memo``)
+    together with one shortest-path tree per source (``_spt_memo``), and so
+    does the planner's new-lightpath edge build (``_aux_memo``, whose edges,
+    keys and alternative tuples are interned in ``_aux_intern``; each entry
+    also holds its edges' adjacency and the routes found over them so far,
+    which every bypass architecture's new lightpaths take, retries included),
+    so every run planned on the same object shares them; they are freed with
+    it.
     """
 
     name: str
@@ -92,6 +94,7 @@ class Topology:
     grid: ChannelGrid = ChannelGrid()
     _adj: dict = field(default_factory=dict, repr=False, compare=False)
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -237,31 +240,43 @@ def lexicographic_dijkstra(adj, src, dst, settled=(), removed_edges=()):
     neighbour order in ``adj``. Nodes in ``settled`` and directed edges in
     ``removed_edges`` are never used. Every node of a popped path is settled,
     so skipping settled nodes also keeps paths simple.
+
+    With ``dst`` None the search runs without a target and returns the
+    shortest-path tree of ``src``: {node: (dist, path)} for every node it
+    reaches. A search pops the same entries in the same order until it
+    reaches its target, so each node's entry is what a search stopped at
+    that node returns, ``dist`` bit for bit.
     """
     heap = [(0.0, (src,))]
     done = set(settled)
+    tree = {} if dst is None else None
     while heap:
-        dist, path = heapq.heappop(heap)
+        dist, path = entry = heappop(heap)
         node = path[-1]
-        if node == dst:
-            return dist, path
         if node in done:
             continue
+        if node == dst:
+            return entry
         done.add(node)
+        if tree is not None:
+            tree[node] = entry
         for nbr, weight in adj.get(node, {}).items():
             if nbr not in done and (node, nbr) not in removed_edges:
-                heapq.heappush(heap, (dist + weight, path + (nbr,)))
-    return None
+                heappush(heap, (dist + weight, path + (nbr,)))
+    return tree
 
 
 def k_shortest_paths(
     topo: Topology, src: str, dst: str, k: int
 ) -> tuple[tuple[str, ...], ...]:
-    """Up to k loop-free paths, ascending (length, lexicographic) via Yen's algorithm.
+    """Up to k loop-free paths, ascending (length, lexicographic), by Yen's
+    algorithm with Lawler's deviation-index skip.
 
-    Results are memoized on ``topo`` per (src, dst, k) and returned as the
-    memo's own immutable tuples; arguments are checked on a miss only, as bad
-    ones never enter the memo.
+    The first path is read off the source's shortest-path tree (a search
+    without a target, memoized on ``topo`` per source), so ``k=1`` runs no
+    spur search. Results are memoized on ``topo`` per (src, dst, k) and
+    returned as the memo's own immutable tuples; arguments are checked on a
+    miss only, as bad ones never enter the memo.
     """
     key = (src, dst, k)
     paths = topo._ksp_memo.get(key)
@@ -277,28 +292,37 @@ def k_shortest_paths(
 
 
 def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
+    """Yen's k shortest paths, each spurred only from the index where it left
+    its parent (Lawler): a spur below that index repeats the search an
+    earlier path with the same root made, so it adds no candidate. A total is
+    the root's length summed left to right, as ``path_length_km`` sums, plus
+    the spur's length, so it does not depend on the skip."""
     adj = topo._adj
-    first = lexicographic_dijkstra(adj, src, dst)
+    tree = topo._spt_memo.get(src)
+    if tree is None:
+        tree = topo._spt_memo[src] = lexicographic_dijkstra(adj, src, None)
+    first = tree.get(dst)
     if first is None:
         return ()
-    accepted = [first]
-    candidates: list[tuple[float, tuple[str, ...]]] = []
+    # (total, path, deviation index); paths are unique, so the index never decides
+    accepted = [(*first, 0)]
+    candidates: list[tuple[float, tuple[str, ...], int]] = []
     seen = {first[1]}
     while len(accepted) < k:
-        _, prev_path = accepted[-1]
-        for i in range(len(prev_path) - 1):
+        _, prev_path, deviation = accepted[-1]
+        root_len = topo.path_length_km(prev_path[: deviation + 1])
+        for i in range(deviation, len(prev_path) - 1):
             root = prev_path[: i + 1]
-            removed_edges = {p[i:i + 2] for _, p in accepted if p[: i + 1] == root}
+            removed_edges = {p[i:i + 2] for _, p, _ in accepted if p[: i + 1] == root}
             res = lexicographic_dijkstra(adj, root[-1], dst, root[:-1], removed_edges)
-            if res is None:
-                continue
-            spur_len, spur_path = res
-            total = topo.path_length_km(root) + spur_len
-            full = root[:-1] + spur_path
-            if full not in seen:
-                seen.add(full)
-                heapq.heappush(candidates, (total, full))
+            if res is not None:
+                spur_len, spur_path = res
+                full = root[:-1] + spur_path
+                if full not in seen:
+                    seen.add(full)
+                    heappush(candidates, (root_len + spur_len, full, i))
+            root_len += adj[root[-1]][prev_path[i + 1]]
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
-    return tuple(p for _, p in accepted)
+        accepted.append(heappop(candidates))
+    return tuple(p for _, p, _ in accepted)

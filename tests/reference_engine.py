@@ -1,5 +1,11 @@
-"""Straightforward reference versions of two engine passes, for equivalence tests.
+"""Straightforward reference versions of engine passes, for equivalence tests.
 
+* :func:`yen_k_shortest_paths` is plain Yen: a first search per node pair,
+  a spur search from every index of each accepted path, and each root's
+  length from ``path_length_km``. It stands in for
+  ``ipowdm.topology.k_shortest_paths``, which reads the first path off a
+  memoized shortest-path tree per source and spurs only from the index where
+  a path left its parent (Lawler).
 * :func:`route_flow` routes a flow over one merged auxiliary graph: every
   grooming edge found by a scan of the lightpaths, plus every new-lightpath
   edge built afresh from the k shortest paths, whatever the architecture
@@ -15,6 +21,8 @@ search or the partner lookup.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from ipowdm.rmsa import (
     GROOM_MAX_FLOWS_PER_LP,
@@ -32,9 +40,39 @@ from ipowdm.rmsa import (
     _remap_records,
     _try_groom_chain,
 )
-from ipowdm.topology import k_shortest_paths
+from ipowdm.topology import k_shortest_paths, lexicographic_dijkstra
 from ipowdm.traffic import Demand
 from ipowdm.transceiver import NoFeasibleMode
+
+
+def yen_k_shortest_paths(topo, src, dst, k):
+    """Up to k loop-free ``src -> dst`` paths, ascending (length, node
+    sequence), by Yen's algorithm; no memo."""
+    adj = topo._adj
+    first = lexicographic_dijkstra(adj, src, dst)
+    if first is None:
+        return ()
+    accepted = [first]
+    candidates = []
+    seen = {first[1]}
+    while len(accepted) < k:
+        _, prev_path = accepted[-1]
+        for i in range(len(prev_path) - 1):
+            root = prev_path[: i + 1]
+            removed_edges = {p[i:i + 2] for _, p in accepted if p[: i + 1] == root}
+            res = lexicographic_dijkstra(adj, root[-1], dst, root[:-1], removed_edges)
+            if res is None:
+                continue
+            spur_len, spur_path = res
+            total = topo.path_length_km(root) + spur_len
+            full = root[:-1] + spur_path
+            if full not in seen:
+                seen.add(full)
+                heapq.heappush(candidates, (total, full))
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return tuple(p for _, p in accepted)
 
 
 def grooming_edges(state, demand):

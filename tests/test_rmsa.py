@@ -2,14 +2,14 @@ import copy
 import dataclasses
 import hashlib
 import json
-from itertools import pairwise
+from itertools import pairwise, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_engine
 from helpers import mk_topo, toy_instance
-from ipowdm import rmsa
+from ipowdm import rmsa, topology
 from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
     ARCH_NAMES,
@@ -28,7 +28,7 @@ from ipowdm.rmsa import (
     provision_all,
     route_demand,
 )
-from ipowdm.topology import ChannelGrid, load_named_topology
+from ipowdm.topology import ChannelGrid, k_shortest_paths, load_named_topology
 from ipowdm.traffic import Demand, TrafficMatrix, generate_traffic, load_scenario
 from ipowdm.transceiver import DEFAULT_CATALOG, TransceiverMode
 
@@ -591,6 +591,52 @@ class TestAuxShortestPath:
         del edges[("a", "b")]
         assert _aux_shortest_path(edges, "a", "d") == edges[("a", "c")] + edges[("c", "d")]
         assert _aux_shortest_path(edges, "d", "a") is None
+
+
+class TestShortestPathReads:
+    def test_opip_runs_no_spur_search(self):
+        # OpIP reads shortest paths only, so its k-path memo holds k=1 lists
+        # only, and topology's search runs without a target (each source's
+        # tree) but never as Yen's spur search, which has one
+        topo = load_named_topology("j14")
+        m = generate_traffic(topo, load_scenario("TS1"), 0)
+        search = topology.lexicographic_dijkstra
+        targets = []
+
+        def traced(adj, src, dst, *args):
+            targets.append(dst)
+            return search(adj, src, dst, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(topology, "lexicographic_dijkstra", traced)
+            state = provision_all(topo, m, "OpIP")
+        assert state_digest(state) == GOLDEN_STATE_DIGESTS[("j14", "OpIP")]
+        assert targets == [None] * len(topo.nodes)
+        assert topo._ksp_memo and {k for _, _, k in topo._ksp_memo} == {1}
+
+    @pytest.mark.parametrize("name", ["j14", "g17"])
+    def test_shortest_km_is_the_first_of_three_paths(self, name):
+        # k=3 on a twin topology, so its first path comes from a tree of its own
+        topo, twin = load_named_topology(name), load_named_topology(name)
+        state = NetworkState(topo, "TrIP", PlannerConfig())
+        for src, dst in permutations(topo.nodes, 2):
+            first = k_shortest_paths(twin, src, dst, 3)[0]
+            km = topo.path_length_km(first)
+            assert k_shortest_paths(topo, src, dst, 1) == (first,)
+            assert state.shortest_km(src, dst).hex() == km.hex()
+            dist, path = topo._spt_memo[src][dst]
+            assert path == first and dist.hex() == km.hex()
+
+    def test_opip_leaves_the_memoized_adjacency_unwritten(self):
+        # OpIP copies only the adjacency rows its grooming pairs change, and
+        # a retry copies the whole graph before it drops an edge; on the
+        # benchmark's spectrum-tight setting OpIP blocks after retries
+        topo = load_named_topology("g17")
+        topo = dataclasses.replace(topo, grid=ChannelGrid(12, 100))
+        state = provision_all(topo, generate_traffic(topo, load_scenario("TS3"), 0), "OpIP")
+        assert any(reason == "no_spectrum" for _, reason in state.blocked)
+        _, alternatives, adj, _ = topo._aux_memo[(rmsa._HOP,)]
+        assert adj == rmsa._adjacency(alternatives)
 
 
 @settings(deadline=None, max_examples=40)

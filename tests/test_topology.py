@@ -1,9 +1,11 @@
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_engine
 from helpers import mk_topo, toy_instance
 from oracle import enumerate_simple_paths
 from ipowdm.topology import (
@@ -13,6 +15,7 @@ from ipowdm.topology import (
     TopologyError,
     k_shortest_paths,
     lexicographic_dijkstra,
+    load_named_topology,
     load_topology,
     parse_topology,
 )
@@ -186,6 +189,7 @@ class TestShortestPaths:
     def test_memo_does_not_change_equality_or_hash(self):
         warm = parse_topology(TRIANGLE.to_json())
         k_shortest_paths(warm, "A", "C", 3)
+        assert warm._ksp_memo and warm._spt_memo  # both memos are warm
         fresh = parse_topology(TRIANGLE.to_json())
         assert warm == fresh
         assert hash(warm) == hash(fresh)
@@ -202,6 +206,40 @@ class TestShortestPaths:
                 expected = enumerate_simple_paths(topo, src, dst)
                 got = k_shortest_paths(topo, src, dst, len(expected) + 5)
                 assert got == tuple(map(tuple, expected))
+
+
+def _random_topology(seed, weights):
+    """A random connected topology of 4-9 nodes with link lengths drawn from
+    ``weights``: a random spanning tree plus each other pair with odds 1/2."""
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(rng.randint(4, 9))]
+    links = {(nodes[rng.randrange(i)], nodes[i]) for i in range(1, len(nodes))}
+    links |= {pair for pair in itertools.combinations(nodes, 2)
+              if pair not in links and rng.random() < 0.5}
+    return mk_topo(f"r{seed}", [(a, b, rng.choice(weights)) for a, b in sorted(links)])
+
+
+def _assert_matches_plain_yen(topo, ks):
+    for k in ks:
+        for src, dst in itertools.permutations(topo.nodes, 2):
+            assert k_shortest_paths(topo, src, dst, k) == \
+                reference_engine.yen_k_shortest_paths(topo, src, dst, k), (src, dst, k)
+
+
+class TestAgainstPlainYen:
+    # The tree's first paths and Lawler's deviation skip must give plain
+    # Yen's lists exactly: same paths, same order of equal-length ones. Few
+    # distinct weights give many equal lengths, and 4-9 nodes give paths that
+    # deviate from their parent above index 0.
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7)]))
+    def test_random_graphs_all_pairs(self, seed, weights):
+        _assert_matches_plain_yen(_random_topology(seed, weights), (1, 2, 3, 5, 8))
+
+    @pytest.mark.parametrize("name", ["j14", "g17"])
+    def test_builtin_topologies_all_pairs(self, name):
+        _assert_matches_plain_yen(load_named_topology(name), (1, 2, 3, 6))
 
 
 def _reversed_adjacency(adj):
@@ -260,3 +298,9 @@ class TestLexicographicDijkstra:
         expected = _brute_force_shortest(adj, src, dst, settled, removed)
         for graph in (adj, _reversed_adjacency(adj)):
             assert lexicographic_dijkstra(graph, src, dst, settled, removed) == expected
+            # without a target: every node reached, each with the entry a
+            # search stopped at it returns
+            tree = lexicographic_dijkstra(graph, src, None, settled, removed)
+            assert tree.get(dst) == expected
+            assert all(lexicographic_dijkstra(graph, src, node, settled, removed) == entry
+                       for node, entry in tree.items())
