@@ -18,8 +18,10 @@ Demands above 400 Gb/s are inverse-multiplexed into sub-flows before routing
 channels). Each sub-flow is routed on an auxiliary graph: grooming edges
 reuse residual lightpath capacity at strongly reduced weight, candidate edges
 open new lightpaths at physical length plus a small per-lightpath penalty.
-Each architecture builds only the part of it that it searches; see
-:func:`build_auxiliary_graph` and :func:`_route_flow`.
+:func:`build_auxiliary_graph` gives the grooming edges; the bypass
+architectures search them alone for a groom chain and then the memoized
+candidate edges alone, and only OpIP lays the two over each other; see
+:func:`_route_flow`.
 
 TrZR's end-to-end grooming is the one demand per node pair, routed as one
 flow, plus the minimum-channel split: no TrZR flow ever finds a lightpath
@@ -168,9 +170,6 @@ class NetworkState:
         self._reach_limits: dict[int, float] = {}  # flow rate -> see _reach_limit
 
     # -- helpers -------------------------------------------------------------
-
-    def paths(self, src: str, dst: str) -> tuple[tuple[str, ...], ...]:
-        return k_shortest_paths(self.topology, src, dst, self.cfg.k)
 
     def shortest_km(self, src: str, dst: str) -> float:
         """Length of the shortest physical route; k=1, so no spur search runs."""
@@ -332,7 +331,7 @@ def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str,
         # subpath -> its link lengths, in order of first occurrence; each
         # path's lengths are looked up once and sliced for its subpaths
         subpaths = {}
-        for p in state.paths(src, dst):
+        for p in k_shortest_paths(topo, src, dst, state.cfg.k):
             lengths = topo.path_link_lengths(p)
             if shape == _END_TO_END:
                 subpaths[p] = lengths
@@ -435,59 +434,20 @@ def _candidate_edges(state: NetworkState, demand: Demand):
     return alternatives, adj, copy.copy(routes)
 
 
-class _OverlaidGraph(dict):
-    """OpIP's graph: the fibers' candidate edges with the grooming pairs laid
-    over them, and in ``adjacency`` the best weight of every pair."""
-
-    __slots__ = ("adjacency",)
-
-
-def build_auxiliary_graph(
-    state: NetworkState, demand: Demand
-) -> dict[tuple[str, str], list[AuxEdge] | tuple[AuxEdge, ...]]:
-    """The graph ``demand``'s flow searches: edges keyed by (u, v), each key
-    holding its alternatives best-first.
-
-    A node pair's grooming edges are the stored edges of ``state.groomable``'s
-    buckets with residual >= the demand's rate, merged with that pair's
-    candidate edges (:func:`_candidate_edges`) into a fresh sorted list.
-    Only the architectures that groom at intermediate routers search it, and
-    each gets only the pairs it searches:
-
-    * TrIP, TrIPandZR: the grooming pairs; the groom chain searches those
-      whose best edge grooms, and new lightpaths are routed over the
-      candidate edges alone (see :func:`_route_flow`);
-    * OpIP: every fiber, with the grooming pairs laid over the memoized
-      candidate edges (an :class:`_OverlaidGraph`), so no candidate list is
-      copied; its adjacency is a shallow copy of the memoized one in which
-      only the rows of the grooming pairs' sources are copied, to take those
-      pairs' best weights (:func:`_routes` copies every row before it drops
-      an edge, so the memoized rows are never written).
-
-    Candidate-only pairs hold the memoized tuples, so callers replace a
-    pair's alternatives rather than change them.
-    """
+def build_auxiliary_graph(state: NetworkState,
+                          demand: Demand) -> dict[tuple[str, str], list[AuxEdge]]:
+    """The grooming edges ``demand``'s flow may ride, keyed by (u, v) in fresh
+    lists, best first: the stored edges of ``state.groomable``'s buckets with
+    residual >= the demand's rate (none under TrZR, which keeps no index)."""
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
     for residual, bucket in state.groomable.items():  # order is free: alternatives sort
         if residual < demand.rate_gbps:
             continue
         for edge in bucket.values():
             edges.setdefault((edge.u, edge.v), []).append(edge)
-    candidates, adj, _ = _candidate_edges(state, demand)
-    for key, alts in edges.items():
-        alts.extend(candidates.get(key, ()))
+    for alts in edges.values():
         alts.sort()
-    if state.arch.optical_bypass:
-        return edges
-    graph = _OverlaidGraph(candidates)
-    graph.update(edges)
-    graph.adjacency = ours = dict(adj)
-    for (u, v), alts in edges.items():
-        row = ours[u]
-        if row is adj[u]:  # still the memoized row: copy it before writing
-            row = ours[u] = dict(row)
-        row[v] = alts[0].weight
-    return graph
+    return edges
 
 
 def _adjacency(edges) -> dict[str, dict[str, float]]:
@@ -614,17 +574,19 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
 
     Bypass architectures with IP grooming reuse residual capacity along a
     shortest chain of at most ``GROOM_CHAIN_HOPS`` lightpaths, searched over
-    the node pairs whose best edge grooms. The chain may open no new
-    lightpath and must not be longer than the shortest physical route;
-    otherwise the flow opens a fresh transparent path instead, because
-    half-groomed detours fragment capacity into short, poorly reusable
-    lightpaths.
+    the grooming edges ``edges`` (:func:`build_auxiliary_graph`). The chain
+    must not be longer than the shortest physical route; otherwise the flow
+    opens a fresh transparent path instead, because half-groomed detours
+    fragment capacity into short, poorly reusable lightpaths.
     """
-    adj: dict[str, dict[str, float]] = {}
-    for (u, v), alts in edges.items():
-        if alts[0].kind == _GROOM:
-            adj.setdefault(u, {})[v] = alts[0].weight
-    chain = _aux_shortest_path(edges, flow.src, flow.dst, adj)
+    # Candidate edges need no comparison: a grooming edge of length L that
+    # sorts after its pair's best candidate c has GROOMING_WEIGHT_FACTOR * L
+    # > c >= S(u, v), the pair's shortest route, so (factor <= 1) any chain
+    # through it is longer than its pairs' sum of S >= S(src, dst) and fails
+    # the length bound. A result avoiding such edges is also the
+    # lexicographic shortest path without them; one using them weighs at most
+    # any chain without them, which then fails the bound too.
+    chain = _aux_shortest_path(edges, flow.src, flow.dst)
     if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return False
     chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
@@ -640,21 +602,31 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     """Place ``flow`` over the best route of its architecture's graph, trying
     the next best after each route that fails to place (see :func:`_routes`).
 
-    TrIP and TrIPandZR first try a groom chain; then every bypass flow, TrZR's
-    too, takes the memoized routes over its candidate edges alone, and OpIP
-    searches its aux graph. A flow with no route blocks as "no_feasible_mode",
-    one whose every route failed to place as "no_spectrum".
+    TrIP and TrIPandZR first try a groom chain over the grooming edges; then
+    every bypass flow, TrZR's too, takes the memoized routes over its
+    candidate edges alone. OpIP lays its grooming pairs over the fibers'
+    candidate edges, each pair's merged into a sorted list, and copies only
+    the memoized adjacency rows those pairs change (:func:`_routes` copies
+    every row before it drops an edge). A flow with no route blocks as
+    "no_feasible_mode", one whose every route failed to place as "no_spectrum".
     """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     arch = state.arch
-    if arch.optical_bypass:
-        if arch.intermediate_ip_grooming and _try_groom_chain(
-                state, flow, build_auxiliary_graph(state, demand)):
-            return
-        _, _, routes = _candidate_edges(state, demand)
-    else:
-        graph = build_auxiliary_graph(state, demand)
-        routes = _routes(graph, graph.adjacency, flow.src, flow.dst)
+    groom = build_auxiliary_graph(state, demand) if arch.intermediate_ip_grooming else {}
+    if arch.optical_bypass and groom and _try_groom_chain(state, flow, groom):
+        return
+    edges, adj, routes = _candidate_edges(state, demand)
+    if not arch.optical_bypass:
+        edges, ours = dict(edges), dict(adj)
+        for (u, v), alts in groom.items():
+            alts.extend(edges.get((u, v), ()))
+            alts.sort()
+            edges[u, v] = alts
+            row = ours[u]
+            if row is adj[u]:  # still the memoized row: copy it before writing
+                row = ours[u] = dict(row)
+            row[v] = alts[0].weight
+        routes = _routes(edges, ours, flow.src, flow.dst)
     failed = False
     for route in routes:
         try:

@@ -201,18 +201,31 @@ def parse_topology(source: str | dict) -> Topology:
         channel_count=grid_doc.get("channel_count", 50),
         spacing_ghz=grid_doc.get("spacing_ghz", 100),
     )
-    links = []
-    for i, entry in enumerate(doc["links"]):
-        try:
-            links.append(Link(entry["a"], entry["b"], float(entry["length_km"])))
-        except KeyError as exc:
-            raise TopologyError(f"link #{i} missing field {exc}") from exc
+    for key in ("nodes", "links"):
+        if not isinstance(doc[key], list):
+            raise TopologyError(f"field {key!r} must be a JSON array")
     return Topology(
         name=str(doc["name"]),
         nodes=tuple(str(n) for n in doc["nodes"]),
-        links=tuple(links),
+        links=tuple(_parse_link(i, entry) for i, entry in enumerate(doc["links"])),
         grid=grid,
     )
+
+
+def _parse_link(i: int, entry) -> Link:
+    """Link #``i`` of a topology document; a bad field is named with the index."""
+    if not isinstance(entry, dict):
+        raise TopologyError(f"link #{i} must be a JSON object")
+    for key in ("a", "b", "length_km"):
+        if key not in entry:
+            raise TopologyError(f"link #{i} missing field {key!r}")
+    for key in ("a", "b"):
+        if not isinstance(entry[key], str):
+            raise TopologyError(f"link #{i} field {key!r} must be a string, got {entry[key]!r}")
+    length = entry["length_km"]
+    if isinstance(length, bool) or not isinstance(length, (int, float)):
+        raise TopologyError(f"link #{i} field 'length_km' must be a number, got {length!r}")
+    return Link(entry["a"], entry["b"], float(length))
 
 
 def load_topology(path: str | Path) -> Topology:

@@ -134,7 +134,7 @@ def route_flow(state, flow) -> None:
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     edges = merged_graph(state, demand)
     if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
-        if _try_groom_chain(state, flow, edges):
+        if _try_groom_chain(state, flow, {k: a for k, a in edges.items() if a[0].kind == _GROOM}):
             return
         edges = {key: [e for e in alts if e.kind == _NEW] for key, alts in edges.items()}
         edges = {key: alts for key, alts in edges.items() if alts}

@@ -207,6 +207,15 @@ class TestCli:
         assert err.startswith("ipowdm: error: ") and str(missing) in err
         assert len(err.splitlines()) == 1
 
+    def test_malformed_topology_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "t", "nodes": ["a", "b"],
+                                    "links": [{"a": "a", "b": "b", "length_km": None}]}))
+        rc = main(["plan", "--topology", str(path), "--arch", "TrIP"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ipowdm: error: link #0 field 'length_km' must be a number, got None\n")
+
     def test_strict_blocking_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "tight.json"
         path.write_text(mk_topo("tight", [("a", "b", 100), ("b", "c", 100)], channels=1).to_json())

@@ -532,18 +532,17 @@ class TestCandidateMemo:
                  for key, (*_, routes) in topo._aux_memo.items()}
         assert first == {(): ("a", "b"), (600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
 
-    def test_grooming_edges_sort_before_and_among_candidates(self):
+    def test_grooming_edges_alone_best_first(self):
         # lightpaths opened longest first, so id order is not weight order;
-        # key (a, b) also holds a candidate edge, key (b, a) grooms only
+        # key (a, b) also has candidate edges, which the graph leaves out
         topo = mk_topo("t", [("a", "b", 20), ("a", "c", 1500), ("c", "b", 1500)])
         state = NetworkState(topo, "TrIP", PlannerConfig())
         qpsk = DEFAULT_CATALOG[-1]
         for route in (("a", "c", "b"), ("a", "b"), ("b", "c", "a"), ("b", "a")):
             _create_lightpath(state, route, qpsk, ())
         edges = build_auxiliary_graph(state, Demand("a", "b", 100))
-        assert [(e.lp_id, e.subpath) for e in edges[("a", "b")]] == [
-            (2, ()), (-1, ("a", "b")), (1, ()), (-1, ("a", "c", "b"))]  # 0.2, 22, 30, 3002
-        assert [e.lp_id for e in edges[("b", "a")]] == [4, 3]
+        assert {key: [e.lp_id for e in alts] for key, alts in edges.items()} == {
+            ("a", "b"): [2, 1], ("b", "a"): [4, 3]}  # 0.2, 30 and 0.2, 30
 
     def test_alternatives_strictly_ordered(self):
         for seed in range(10):
@@ -741,10 +740,8 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             assert state.groomable == {}
         for demand in probes:
             if state.arch.intermediate_ip_grooming:
-                groom = {key: [e for e in alts if e.kind == _GROOM]
-                         for key, alts in build_auxiliary_graph(state, demand).items()}
                 scan = reference_engine.grooming_edges(state, demand)
-                assert {k: alts for k, alts in groom.items() if alts} == {
+                assert build_auxiliary_graph(state, demand) == {
                     key: sorted(alts) for key, alts in scan.items()}
             if not state.arch.optical_bypass:
                 continue
@@ -859,6 +856,50 @@ def test_per_architecture_graphs_route_like_the_merged_graph_on_g17(arch):
     expected = routing_log(topo, m, arch, reference_engine.route_flow)
     assert any(isinstance(outcome, str) for _, outcome, _ in expected[0])  # blocking
     assert routing_log(topo, m, arch, rmsa._route_flow) == expected
+
+
+# Hand-built instances where a groom chain runs over a grooming edge that
+# sorts after its pair's best candidate edge, which random toy instances
+# almost never build: a 100G flow on 3,000 km of a-c-b (QPSK 200G, 100G
+# spare) against the 20 km a-b link, whose one channel a 400G flow holds;
+# keyed by the length of the chain.
+LOSING_GROOM_CASES = {
+    # a-e's 100G flow opens a-c-b (regenerated at b) before a-b's 100G
+    # flow, which then meets a one-lightpath chain over it
+    1: ([("a", "b", 20), ("a", "c", 1100), ("c", "b", 1900), ("a", "e", 10),
+         ("b", "e", 200)],
+        [Demand("a", "b", 500), Demand("a", "e", 500)]),
+    # a-b's 100G flow opens a-c-b and d-a's one d-a; d-b's flow then meets
+    # the chain d-a, a-c-b
+    2: ([("a", "b", 20), ("a", "c", 1500), ("c", "b", 1500), ("d", "a", 10)],
+        [Demand("a", "b", 500), Demand("d", "a", 100), Demand("d", "b", 100)]),
+}
+
+
+@pytest.mark.parametrize("hops", sorted(LOSING_GROOM_CASES))
+def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_loses(hops):
+    # the groom chain searches every grooming pair, where the merged graph
+    # searched only the pairs whose best edge grooms; the length bound
+    # rejects every chain the two searches would tell apart
+    links, demands = LOSING_GROOM_CASES[hops]
+    topo, m = mk_topo("t", links, channels=1), matrix(*demands)
+    search = rmsa._try_groom_chain
+    losing = []
+
+    def spied(state, flow, edges):
+        demand = Demand(flow.src, flow.dst, flow.rate_gbps)
+        candidates, _, _ = _candidate_edges(state, demand)
+        chain = _aux_shortest_path(edges, flow.src, flow.dst) or ()
+        if any(candidates.get((e.u, e.v), (e,))[0] < e for e in chain):
+            losing.append((flow.flow_id, len(chain)))
+        return search(state, flow, edges)
+
+    for arch in GROOMING_ARCHS:
+        expected = routing_log(topo, m, arch, reference_engine.route_flow)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rmsa, "_try_groom_chain", spied)
+            assert routing_log(topo, m, arch, rmsa._route_flow) == expected, arch
+    assert losing and {n for _, n in losing} == {hops}
 
 
 @settings(deadline=None, max_examples=60)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,26 @@ class TestValidation:
     def test_link_missing_field_named(self):
         doc = {"name": "t", "nodes": ["a", "b"], "links": [{"a": "a", "b": "b"}]}
         with pytest.raises(TopologyError, match="link #0"):
+            parse_topology(doc)
+
+    @pytest.mark.parametrize("field_name, value, message", [
+        ("links", 5, "field 'links' must be a JSON array"),
+        ("nodes", 5, "field 'nodes' must be a JSON array"),
+        ("links", [{"a": "a", "b": "b", "length_km": 1}, ["a", "b", 1]],
+         "link #1 must be a JSON object"),
+        ("length_km", None, "link #0 field 'length_km' must be a number, got None"),
+        ("length_km", "far", "link #0 field 'length_km' must be a number, got 'far'"),
+        ("length_km", True, "link #0 field 'length_km' must be a number, got True"),
+        ("b", 7, "link #0 field 'b' must be a string, got 7"),
+    ])
+    def test_malformed_field_named(self, field_name, value, message):
+        doc = {"name": "t", "nodes": ["a", "b"],
+               "links": [{"a": "a", "b": "b", "length_km": 1}]}
+        if field_name in doc:
+            doc[field_name] = value
+        else:
+            doc["links"][0][field_name] = value
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
             parse_topology(doc)
 
     @pytest.mark.parametrize("length", ["NaN", "inf"])
