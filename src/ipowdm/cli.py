@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -109,11 +110,8 @@ def cmd_plan(args) -> int:
         "module_cost": row.module_cost, "blocked": row.blocked,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write(None, f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json",
-               text, out_dir=args.out)
-    else:
-        sys.stdout.write(text)
+    _write(None, f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json",
+           text, out_dir=args.out or None)
     return 0
 
 
@@ -232,6 +230,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left: exit quietly, with stdout on devnull so that the
+        # interpreter's exit flush of what is still buffered cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OSError, ValueError, BlockingError) as exc:
         print(f"ipowdm: error: {exc}", file=sys.stderr)
         return 2

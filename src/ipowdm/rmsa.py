@@ -19,9 +19,9 @@ channels). Each sub-flow is routed on an auxiliary graph: grooming edges
 reuse residual lightpath capacity at strongly reduced weight, candidate edges
 open new lightpaths at physical length plus a small per-lightpath penalty.
 :func:`build_auxiliary_graph` gives the grooming edges; the bypass
-architectures search them alone for a groom chain and then the memoized
-candidate edges alone, and only OpIP lays the two over each other; see
-:func:`_route_flow`.
+architectures search them alone for a groom chain, then take the memoized
+routes over their :func:`_candidate_graph`, and only OpIP lays them over its
+:func:`_hop_graph`; see :func:`_route_flow`.
 
 TrZR's end-to-end grooming is the one demand per node pair, routed as one
 flow, plus the minimum-channel split: no TrZR flow ever finds a lightpath
@@ -215,8 +215,9 @@ class NetworkState:
     def audit(self) -> None:
         """Check the bookkeeping the engine relies on; raises AssertionError.
 
-        Stored occupancy equals the segment claims, without clashes; stored
-        residuals match carried flows; flow placements and lightpath carried
+        Stored occupancy equals the segment claims, without clashes; no
+        transparent segment is longer than its mode's reach; stored residuals
+        match carried flows; flow placements and lightpath carried
         entries match one for one; ``groomable`` holds each lightpath that can
         groom, under its residual and with its own edge, and nothing else.
         """
@@ -224,6 +225,10 @@ class NetworkState:
         unplaced: dict[int, list[tuple[str, int]]] = {}
         for lp_id, lp in self.lightpaths.items():
             for seg in lp.segments:
+                km = self.topology.path_length_km(seg.nodes)
+                if km > lp.mode.reach_km:
+                    raise AssertionError(f"lightpath {lp_id}: segment {'-'.join(seg.nodes)} "
+                                         f"spans {km} km, beyond {lp.mode}'s reach")
                 for fiber in pairwise(seg.nodes):
                     try:
                         unclaimed[fiber].remove(seg.channel)
@@ -293,6 +298,7 @@ class NetworkState:
 
 _GROOM = 0
 _NEW = 1
+_HOP_KEY = "hop"  # OpIP's graph in topology._aux_memo; bypass keys are tuples
 
 
 class AuxEdge(NamedTuple):
@@ -308,54 +314,53 @@ class AuxEdge(NamedTuple):
     v: str
 
 
-# Shapes of the new-lightpath (candidate) edges; TrIP and TrIPandZR share one.
-_HOP, _END_TO_END, _SUBPATH = range(3)
+def _hop_graph(state: NetworkState):
+    """(edges, adjacency) of OpIP's new-lightpath edges, one per directed
+    fiber, memoized once per topology; callers must not change them."""
+    topo = state.topology
+    graph = topo._aux_memo.get(_HOP_KEY)
+    if graph is None:
+        edges = {(u, v): (AuxEdge(topo.link_length(u, v) + OPAQUE_HOP_WEIGHT, _NEW, -1,
+                                  (u, v), u, v),)
+                 for u, v in topo.directed_fibers()}
+        graph = topo._aux_memo[_HOP_KEY] = edges, _adjacency(edges)
+    return graph
 
 
-def _candidate_entry(state: NetworkState, shape: int, src: str, dst: str,
-                     limit: float = float("inf")):
-    """(longest hop, {(u, v): alternatives best-first}, adjacency, routes) of
-    one memo entry: the edges whose longest hop is within ``limit``, each
-    pair's best weight, and the graph's :func:`_routes` from ``src`` to
-    ``dst`` in a tee that is never advanced, so it keeps every route found so
-    far (None for the hop-by-hop entry, which serves every node pair). Edges,
-    keys and alternative tuples are interned in ``topology._aux_intern``, so
-    entries that share a subpath share its objects.
-    """
+def _candidate_graph(state: NetworkState, src: str, dst: str, limit: float):
+    """(longest hop, {(u, v): alternatives best-first}) of a bypass flow's
+    new-lightpath edges, one per subpath of the k shortest paths (per path
+    under TrZR) whose longest hop is within ``limit``. Edges, keys and
+    alternative tuples are interned in ``topology._aux_intern``, so graphs
+    that share a subpath share its objects."""
     topo = state.topology
     intern = topo._aux_intern.setdefault
-    if shape == _HOP:
-        subpaths = {fiber: [topo.link_length(*fiber)] for fiber in topo.directed_fibers()}
-        base = OPAQUE_HOP_WEIGHT
-    else:
-        # subpath -> its link lengths, in order of first occurrence; each
-        # path's lengths are looked up once and sliced for its subpaths
-        subpaths = {}
-        for p in k_shortest_paths(topo, src, dst, state.cfg.k):
-            lengths = topo.path_link_lengths(p)
-            if shape == _END_TO_END:
-                subpaths[p] = lengths
-                continue
-            for i in range(len(p) - 1):
-                for j in range(i + 1, len(p)):
-                    sub = p[i:j + 1]
-                    if sub not in subpaths:
-                        subpaths[sub] = lengths[i:j]
-        base = state._new_lp_penalty
+    # subpath -> its link lengths, in order of first occurrence; each path's
+    # lengths are looked up once and sliced for its subpaths
+    subpaths = {}
+    for p in k_shortest_paths(topo, src, dst, state.cfg.k):
+        lengths = topo.path_link_lengths(p)
+        if not state.arch.intermediate_ip_grooming:
+            subpaths[p] = lengths
+            continue
+        for i in range(len(p) - 1):
+            for j in range(i + 1, len(p)):
+                sub = p[i:j + 1]
+                if sub not in subpaths:
+                    subpaths[sub] = lengths[i:j]
     alts: dict[tuple[str, str], list[AuxEdge]] = {}
     longest = 0.0
     for sub, lengths in subpaths.items():
         if max(lengths) > limit:
             continue
         longest = max(longest, *lengths)
-        edge = AuxEdge(sum(lengths) + base, _NEW, -1, sub, sub[0], sub[-1])
+        edge = AuxEdge(sum(lengths) + state._new_lp_penalty, _NEW, -1, sub, sub[0], sub[-1])
         alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
-    entry = {}
-    for key, edges in alts.items():
-        edges = tuple(sorted(edges))
-        entry[intern(key, key)] = intern(edges, edges)
-    adj = _adjacency(entry)
-    return longest, entry, adj, None if shape == _HOP else tee(_routes(entry, adj, src, dst), 1)[0]
+    edges = {}
+    for key, found in alts.items():
+        found = tuple(sorted(found))
+        edges[intern(key, key)] = intern(found, found)
+    return longest, edges
 
 
 def _routes(edges, adj, src, dst):
@@ -400,38 +405,31 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
     return limit
 
 
-def _candidate_edges(state: NetworkState, demand: Demand):
-    """({(u, v): alternatives}, adjacency, routes) of the new-lightpath edges
-    for ``demand``; ``routes`` iterates a copy of the graph's memoized
-    :func:`_routes` (None under OpIP). The dict and the adjacency are shared:
-    callers must not change them.
-
-    The edges depend only on the topology, the edge shape, (src, dst), ``k``
-    and the new-lightpath penalty, so each entry is built once per topology
-    and kept in ``topology._aux_memo``. The reach rule runs here, and only
-    when the demand's limit is shorter than the entry's longest hop: an edge
-    is kept when its longest hop is within :func:`_reach_limit`, and the kept
-    edges are memoized as an entry of their own under the key plus the limit.
-    Hop-by-hop edges are never filtered.
+def _candidate_routes(state: NetworkState, demand: Demand):
+    """A copy of the memoized :func:`_routes` over a bypass flow's
+    :func:`_candidate_graph`, which depends only on the topology, the edge
+    shape (``intermediate_ip_grooming``), (src, dst), ``k`` and the penalty.
+    Each ``topology._aux_memo`` entry, (longest hop, routes), keeps the routes
+    found so far in a tee that is never advanced. Where the demand's
+    :func:`_reach_limit` is below the longest hop, the edges within it are a
+    graph of their own, memoized under the key plus the limit.
     """
-    arch = state.arch
-    if not arch.optical_bypass:
-        shape, key = _HOP, (_HOP,)
-    else:
-        shape = _SUBPATH if arch.intermediate_ip_grooming else _END_TO_END
-        key = (shape, demand.src, demand.dst, state.cfg.k, state._new_lp_penalty)
+    src, dst = demand.src, demand.dst
     memo = state.topology._aux_memo
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst)
-    limit = float("inf") if shape == _HOP else _reach_limit(state, demand.rate_gbps)
-    if limit < entry[0]:
-        key += (limit,)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _candidate_entry(state, shape, demand.src, demand.dst, limit)
-    _, alternatives, adj, routes = entry
-    return alternatives, adj, copy.copy(routes)
+
+    def entry(key, limit=float("inf")):
+        found = memo.get(key)
+        if found is None:
+            longest, edges = _candidate_graph(state, src, dst, limit)
+            found = memo[key] = longest, tee(_routes(edges, _adjacency(edges), src, dst), 1)[0]
+        return found
+
+    key = (state.arch.intermediate_ip_grooming, src, dst, state.cfg.k, state._new_lp_penalty)
+    longest, routes = entry(key)
+    limit = _reach_limit(state, demand.rate_gbps)
+    if limit < longest:
+        _, routes = entry(key + (limit,), limit)
+    return copy.copy(routes)
 
 
 def build_auxiliary_graph(state: NetworkState,
@@ -486,10 +484,9 @@ def _create_lightpath(state, route, mode, b2b_nodes):
     Channels are picked for every segment before any is claimed (a simple
     route's segments share no fiber), so NoSpectrum leaves no state behind.
     """
-    node_idx = {n: i for i, n in enumerate(route)}
-    cuts = [0] + [node_idx[n] for n in b2b_nodes] + [len(route) - 1]
+    cuts = [0, *map(route.index, b2b_nodes), len(route) - 1]
     segments = []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in pairwise(cuts):
         seg_nodes = tuple(route[a:b + 1])
         segments.append(Segment(seg_nodes, assign_spectrum_first_fit(state, seg_nodes)))
     for seg in segments:
@@ -502,34 +499,29 @@ def _create_lightpath(state, route, mode, b2b_nodes):
 
 
 def _realize_candidate_edge(state, edge, rate, flow_id, placements):
-    """Open new lightpath(s) for `rate` over edge.subpath, appending to placements."""
-    topo = state.topology
-    lengths = topo.path_link_lengths(edge.subpath)
+    """Open new lightpath(s) for `rate` over edge.subpath, appending to placements,
+    from a plan of (route, mode, b2b regen nodes, amount carried) per lightpath."""
+    topo, catalog, subpath = state.topology, state.catalog, edge.subpath
+    lengths = topo.path_link_lengths(subpath)
     if not state.arch.ip_regeneration:
-        remaining = rate
-        for m in select_modes_min_channels(lengths, rate, state.catalog):
-            b2b = tuple(edge.subpath[i] for i in plan_regeneration(lengths, m))
-            lp = _create_lightpath(state, edge.subpath, m, b2b)
+        plan, remaining = [], rate
+        for m in select_modes_min_channels(lengths, rate, catalog):
             amount = min(remaining, m.rate_gbps)
-            state.carry(lp, flow_id, amount)
             remaining -= amount
-            placements.append((lp.id, amount))
-        return
-
-    mode, boundaries = select_mode_min_regens(lengths, rate, state.catalog)
-    if not boundaries:
-        lp = _create_lightpath(state, edge.subpath, mode, ())
-        state.carry(lp, flow_id, rate)
-        placements.append((lp.id, rate))
-        return
-    # IP regeneration: terminate at routers; each segment is its own lightpath
-    cuts = [0, *boundaries, len(edge.subpath) - 1]
-    for a, b in zip(cuts, cuts[1:]):
-        seg = edge.subpath[a:b + 1]
-        seg_mode = select_mode_max_rate(topo.path_length_km(seg), state.catalog)
-        lp = _create_lightpath(state, seg, seg_mode, ())
-        state.carry(lp, flow_id, rate)
-        placements.append((lp.id, rate))
+            b2b = tuple(subpath[i] for i in plan_regeneration(lengths, m))
+            plan.append((subpath, m, b2b, amount))
+    else:
+        mode, boundaries = select_mode_min_regens(lengths, rate, catalog)
+        if boundaries:
+            cuts = [0, *boundaries, len(subpath) - 1]
+            plan = [(seg, select_mode_max_rate(topo.path_length_km(seg), catalog), (), rate)
+                    for seg in (subpath[a:b + 1] for a, b in pairwise(cuts))]
+        else:
+            plan = [(subpath, mode, (), rate)]
+    for route, mode, b2b, amount in plan:
+        lp = _create_lightpath(state, route, mode, b2b)
+        state.carry(lp, flow_id, amount)
+        placements.append((lp.id, amount))
 
 
 def _release(state: NetworkState, flow_id: str, placements) -> None:
@@ -604,19 +596,21 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
 
     TrIP and TrIPandZR first try a groom chain over the grooming edges; then
     every bypass flow, TrZR's too, takes the memoized routes over its
-    candidate edges alone. OpIP lays its grooming pairs over the fibers'
-    candidate edges, each pair's merged into a sorted list, and copies only
-    the memoized adjacency rows those pairs change (:func:`_routes` copies
-    every row before it drops an edge). A flow with no route blocks as
+    candidate edges alone (:func:`_candidate_routes`). OpIP lays its grooming
+    pairs over the :func:`_hop_graph`, each pair's merged into a sorted list,
+    and copies only the memoized adjacency rows those pairs change
+    (:func:`_routes` copies every row before it drops an edge). A flow with no route blocks as
     "no_feasible_mode", one whose every route failed to place as "no_spectrum".
     """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     arch = state.arch
     groom = build_auxiliary_graph(state, demand) if arch.intermediate_ip_grooming else {}
-    if arch.optical_bypass and groom and _try_groom_chain(state, flow, groom):
-        return
-    edges, adj, routes = _candidate_edges(state, demand)
-    if not arch.optical_bypass:
+    if arch.optical_bypass:
+        if groom and _try_groom_chain(state, flow, groom):
+            return
+        routes = _candidate_routes(state, demand)
+    else:
+        edges, adj = _hop_graph(state)
         edges, ours = dict(edges), dict(adj)
         for (u, v), alts in groom.items():
             alts.extend(edges.get((u, v), ()))

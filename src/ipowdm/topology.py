@@ -80,12 +80,12 @@ class Topology:
 
     ``k_shortest_paths`` memoizes its results on the instance (``_ksp_memo``)
     together with one shortest-path tree per source (``_spt_memo``), and so
-    does the planner's new-lightpath edge build (``_aux_memo``, whose edges,
-    keys and alternative tuples are interned in ``_aux_intern``; each entry
-    also holds its edges' adjacency and the routes found over them so far,
-    which every bypass architecture's new lightpaths take, retries included),
-    so every run planned on the same object shares them; they are freed with
-    it.
+    does the planner's new-lightpath graph build (``_aux_memo``, whose edges,
+    keys and alternative tuples are interned in ``_aux_intern``): one entry
+    holds OpIP's hop-by-hop graph and its adjacency, and each bypass entry
+    the longest hop of a candidate graph and the routes found over it so far,
+    retries included. Every run planned on the same object shares them; they
+    are freed with it.
     """
 
     name: str

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
@@ -246,6 +247,35 @@ class TestCli:
         header = text.splitlines()[0].split(",")
         assert "saving_power_total_pct" in header
         assert "baseline" in header
+
+    def test_compare_into_a_closed_pipe_exits_quietly(self, toy_path, tmp_path, monkeypatch,
+                                                       capsys):
+        # a reader that left (``ipowdm compare ... | head -c 0``): no error
+        # line, exit code 1, and stdout's descriptor now on devnull, so the
+        # interpreter's exit flush writes nowhere
+        out = tmp_path / "runs"
+        main(["experiment", "--topology", toy_path, "--scenario", "TS1",
+              "--runs", "1", "--out", str(out)])
+        capsys.readouterr()
+        sink = tmp_path / "stdout"
+        fd = os.open(sink, os.O_WRONLY | os.O_CREAT)
+
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        try:
+            rc = main(["compare", "--in", str(out / "rows.csv"), "--baseline", "OpIP"])
+            os.write(fd, b"flushed at exit")
+        finally:
+            os.close(fd)
+        assert rc == 1
+        assert capsys.readouterr().err == ""
+        assert sink.read_bytes() == b""
 
     def test_compare_absent_baseline_is_one_line_error(self, toy_path, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -21,7 +21,6 @@ from ipowdm.rmsa import (
     _GROOM,
     _NEW,
     _aux_shortest_path,
-    _candidate_edges,
     _create_lightpath,
     build_auxiliary_graph,
     merge_pure_ip_regens,
@@ -364,8 +363,11 @@ class TestBlockingAndAtomicity:
          "a->c#0 placed 400G on 9, not carried"),
         (lambda s: s.groomable[300].pop(3), "lightpath 3: can groom but is not indexed"),
         (_teardown_behind_index, "lightpath 3: stale grooming entry at residual 300"),
+        # lightpath 2 (a-b-c, 200 km) on the 400G mode that reaches 120 km
+        (lambda s: setattr(s.lightpaths[2], "mode", DEFAULT_CATALOG[0]),
+         "lightpath 2: segment a-b-c spans 200.0 km, beyond ZR/16QAM/400G's reach"),
     ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements",
-            "unindexed", "stale-index"])
+            "unindexed", "stale-index", "reach"])
     def test_audit_names_broken_bookkeeping(self, corrupt, message):
         # lightpaths 1 and 2 are full; 3 (b-c, 100G of 400G carried) can groom
         st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400),
@@ -461,9 +463,16 @@ DEAR = tuple(dataclasses.replace(m, cost_units=m.cost_units * 3) for m in DEFAUL
 
 
 def candidate_graph(state, demand):
-    """``_candidate_edges`` with its routes read to the end of the sequence."""
-    edges, adj, routes = _candidate_edges(state, demand)
-    return edges, adj, None if routes is None else list(routes)
+    """(edges, adjacency, routes) of the new-lightpath graph ``demand``'s flow
+    reads: OpIP's memoized hop graph, whose routes each flow searches after
+    laying its grooming edges over it (None), or the bypass candidate graph
+    within the demand's reach limit with its memoized routes read to the end
+    of the sequence."""
+    if not state.arch.optical_bypass:
+        return (*rmsa._hop_graph(state), None)
+    limit = rmsa._reach_limit(state, demand.rate_gbps)
+    _, edges = rmsa._candidate_graph(state, demand.src, demand.dst, limit)
+    return edges, rmsa._adjacency(edges), list(rmsa._candidate_routes(state, demand))
 
 
 class TestCandidateMemo:
@@ -503,10 +512,13 @@ class TestCandidateMemo:
         demand = Demand("a", "b", 400)
 
         def subpaths(catalog):
-            # the candidate edges themselves: TrIP's graph holds grooming pairs only
+            # the memoized routes, read to the end, reach every edge of this
+            # small candidate graph
             state = NetworkState(topo, arch, PlannerConfig(), catalog)
-            edges, _, _ = _candidate_edges(state, demand)
-            return {e.subpath for alts in edges.values() for e in alts}
+            edges, _, routes = candidate_graph(state, demand)
+            found = {e.subpath for route in routes for e in route}
+            assert found == {e.subpath for alts in edges.values() for e in alts}
+            return found
 
         short = subpaths(SHORT_REACH)
         entries = len(topo._aux_memo)
@@ -555,7 +567,7 @@ class TestCandidateMemo:
                         # the candidate edges too: on the empty state TrIP's
                         # graph is empty, having no grooming pair, and TrZR's
                         # always is
-                        candidates, adj, _ = _candidate_edges(state, demand)
+                        candidates, adj, _ = candidate_graph(state, demand)
                         graph = build_auxiliary_graph(state, demand)
                         if not state.arch.intermediate_ip_grooming:
                             assert graph == {}
@@ -634,7 +646,7 @@ class TestShortestPathReads:
         topo = dataclasses.replace(topo, grid=ChannelGrid(12, 100))
         state = provision_all(topo, generate_traffic(topo, load_scenario("TS3"), 0), "OpIP")
         assert any(reason == "no_spectrum" for _, reason in state.blocked)
-        _, alternatives, adj, _ = topo._aux_memo[(rmsa._HOP,)]
+        alternatives, adj = topo._aux_memo[rmsa._HOP_KEY]
         assert adj == rmsa._adjacency(alternatives)
 
 
@@ -722,10 +734,11 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
     # the blocking and undo setting above, where lightpaths open, fill, empty
     # and merge: after every demand the grooming edges drawn from the index
     # equal a scan of the lightpaths where the architecture grooms at
-    # intermediate routers (TrZR keeps no index), and every memoized
-    # new-lightpath graph, TrZR's included, holds the edges, adjacency and
-    # routes, read to the end of the sequence, of a fresh build and search
-    # on a copy of the topology that the engine never plans on
+    # intermediate routers (TrZR keeps no index), and every bypass
+    # candidate graph, TrZR's included, holds the edges and adjacency of a
+    # fresh build, and its memoized routes, read to the end of the sequence,
+    # are those of a fresh search, on a copy of the topology that the engine
+    # never plans on
     topo, m = toy_instance(seed, max_nodes=5, max_demands=10)
     topo = dataclasses.replace(topo, grid=ChannelGrid(channels, 100))
     twin = dataclasses.replace(topo)
@@ -751,11 +764,11 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
                     NetworkState(twin, state.arch.name, state.cfg), demand)
                 fresh = {uv: tuple(sorted(alts)) for uv, alts in fresh.items()}
                 expected[key] = fresh, fresh_routes(fresh, demand.src, demand.dst)
-            edges, adj, routes = _candidate_edges(state, demand)
+            edges, adj, routes = candidate_graph(state, demand)
             fresh, fresh_found = expected[key]
             assert edges == fresh
             assert adj == rmsa._adjacency(fresh)
-            assert list(routes) == fresh_found
+            assert routes == fresh_found
             checked.add(state.arch.name)
 
     def checked_route_demand(state, demand, deferred=None):
@@ -888,9 +901,9 @@ def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_lose
 
     def spied(state, flow, edges):
         demand = Demand(flow.src, flow.dst, flow.rate_gbps)
-        candidates, _, _ = _candidate_edges(state, demand)
+        candidates = reference_engine.candidate_edges(state, demand)
         chain = _aux_shortest_path(edges, flow.src, flow.dst) or ()
-        if any(candidates.get((e.u, e.v), (e,))[0] < e for e in chain):
+        if any(min(candidates.get((e.u, e.v), (e,))) < e for e in chain):
             losing.append((flow.flow_id, len(chain)))
         return search(state, flow, edges)
 
