@@ -139,6 +139,8 @@ def cmd_power(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    if args.runs < 1:
+        raise ValueError(f"runs must be >= 1, got {args.runs}")
     topos = [load_named_topology(t) for t in args.topology]
     scen_names = args.scenario or ["TS1", "TS2", "TS3"]
     scenarios = [load_scenario(s) for s in scen_names]

@@ -125,7 +125,10 @@ def average_rows(rows: list[RunResult]) -> list[dict]:
     for (topo, arch, scen), members in sorted(cells.items()):
         entry = {"topology": topo, "arch": arch, "scenario": scen, "runs": len(members)}
         for col in _NUMERIC:
-            entry[col] = sum(getattr(m, col) for m in members) / len(members)
+            total = 0  # summed left to right: sum() rounds otherwise from 3.12 on
+            for m in members:
+                total += getattr(m, col)
+            entry[col] = total / len(members)
         out.append(entry)
     return out
 

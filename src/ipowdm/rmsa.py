@@ -111,7 +111,7 @@ class Lightpath:
     """A provisioned lightpath. Its load (``carried``, ``residual``) changes
     only through ``NetworkState.carry`` / ``release``, which keep ``residual``
     equal to the unused part of the mode rate and the grooming index current;
-    ``groom_edge`` is set once, when the state registers the lightpath."""
+    registering it sets ``groom_edge`` and claims its segments' channels."""
 
     id: int
     route: tuple[str, ...]
@@ -148,6 +148,8 @@ class NetworkState:
     (residual -> {lp_id: grooming edge}) holding exactly the lightpaths that
     can take another flow: residual left and fewer than
     ``GROOM_MAX_FLOWS_PER_LP`` flows; none under TrZR, which never grooms.
+    ``occupancy`` (directed fiber -> channel mask, bit c set while a segment
+    holds channel c there) is written only by :meth:`add` / :meth:`remove`.
     """
 
     def __init__(self, topo: Topology, arch: str, cfg: PlannerConfig, catalog=DEFAULT_CATALOG):
@@ -160,9 +162,7 @@ class NetworkState:
         self.lightpaths: dict[int, Lightpath] = {}
         self.groomable: dict[int, dict[int, AuxEdge]] = {}
         self._max_flows = GROOM_MAX_FLOWS_PER_LP if self.arch.intermediate_ip_grooming else 0
-        self.occupancy: dict[tuple[str, str], set[int]] = {
-            f: set() for f in topo.directed_fibers()
-        }
+        self.occupancy: dict[tuple[str, str], int] = dict.fromkeys(topo.directed_fibers(), 0)
         self.records: dict[tuple[str, str], list[FlowRecord]] = {}
         self.blocked: list[tuple[Demand, str]] = []
         self._next_id = 0
@@ -195,10 +195,16 @@ class NetworkState:
         lp.groom_edge = AuxEdge(GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp.id, (), u, v)
         self.lightpaths[lp.id] = lp
         self._file(lp)
+        for seg in lp.segments:
+            for fiber in pairwise(seg.nodes):
+                self.occupancy[fiber] |= 1 << seg.channel
 
     def remove(self, lp: Lightpath) -> None:
         self._unfile(lp)
         del self.lightpaths[lp.id]
+        for seg in lp.segments:
+            for fiber in pairwise(seg.nodes):
+                self.occupancy[fiber] &= ~(1 << seg.channel)
 
     def carry(self, lp: Lightpath, flow_id: str, rate: int) -> None:
         self._unfile(lp)
@@ -221,7 +227,7 @@ class NetworkState:
         entries match one for one; ``groomable`` holds each lightpath that can
         groom, under its residual and with its own edge, and nothing else.
         """
-        unclaimed = {fiber: set(chans) for fiber, chans in self.occupancy.items()}
+        unclaimed = dict(self.occupancy)
         unplaced: dict[int, list[tuple[str, int]]] = {}
         for lp_id, lp in self.lightpaths.items():
             for seg in lp.segments:
@@ -229,15 +235,13 @@ class NetworkState:
                 if km > lp.mode.reach_km:
                     raise AssertionError(f"lightpath {lp_id}: segment {'-'.join(seg.nodes)} "
                                          f"spans {km} km, beyond {lp.mode}'s reach")
+                bit = 1 << seg.channel
                 for fiber in pairwise(seg.nodes):
-                    try:
-                        unclaimed[fiber].remove(seg.channel)
-                    except KeyError:
-                        stored = seg.channel in self.occupancy.get(fiber, ())
-                        raise AssertionError(
-                            f"{'channel clash' if stored else 'unstored claim'} on fiber "
-                            f"{fiber} channel {seg.channel}"
-                        ) from None
+                    if not unclaimed.get(fiber, 0) & bit:
+                        clash = self.occupancy.get(fiber, 0) & bit
+                        raise AssertionError(f"{'channel clash' if clash else 'unstored claim'}"
+                                             f" on fiber {fiber} channel {seg.channel}")
+                    unclaimed[fiber] ^= bit
             used = 0
             for _, rate in lp.carried:
                 used += rate
@@ -335,27 +339,28 @@ def _candidate_graph(state: NetworkState, src: str, dst: str, limit: float):
     that share a subpath share its objects."""
     topo = state.topology
     intern = topo._aux_intern.setdefault
-    # subpath -> its link lengths, in order of first occurrence; each path's
-    # lengths are looked up once and sliced for its subpaths
-    subpaths = {}
-    for p in k_shortest_paths(topo, src, dst, state.cfg.k):
-        lengths = topo.path_link_lengths(p)
-        if not state.arch.intermediate_ip_grooming:
-            subpaths[p] = lengths
-            continue
-        for i in range(len(p) - 1):
-            for j in range(i + 1, len(p)):
-                sub = p[i:j + 1]
-                if sub not in subpaths:
-                    subpaths[sub] = lengths[i:j]
+    whole = not state.arch.intermediate_ip_grooming  # TrZR: one edge per path
+    seen = set()
     alts: dict[tuple[str, str], list[AuxEdge]] = {}
     longest = 0.0
-    for sub, lengths in subpaths.items():
-        if max(lengths) > limit:
-            continue
-        longest = max(longest, *lengths)
-        edge = AuxEdge(sum(lengths) + state._new_lp_penalty, _NEW, -1, sub, sub[0], sub[-1])
-        alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
+    for p in k_shortest_paths(topo, src, dst, state.cfg.k):
+        lengths = topo.path_link_lengths(p)
+        for i in range(1 if whole else len(lengths)):
+            # p[i:j + 2]'s length and longest hop as j grows, summed left to
+            # right like path_length_km (sum() rounds otherwise from 3.12 on)
+            km = hop = 0.0
+            for j in range(i, len(lengths)):
+                km += lengths[j]
+                hop = max(hop, lengths[j])
+                if hop > limit:
+                    break
+                sub = p[i:j + 2]
+                if sub in seen or whole and len(sub) < len(p):
+                    continue
+                seen.add(sub)
+                longest = max(longest, hop)
+                edge = AuxEdge(km + state._new_lp_penalty, _NEW, -1, sub, sub[0], sub[-1])
+                alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
     edges = {}
     for key, found in alts.items():
         found = tuple(sorted(found))
@@ -468,18 +473,20 @@ def _aux_shortest_path(edges, src, dst, adj=None):
 # -- transport realization ---------------------------------------------------
 
 def assign_spectrum_first_fit(state: NetworkState, segment_nodes) -> int:
-    """Lowest channel index free on every directed fiber of the segment."""
-    busy: set[int] = set()
-    for u, v in zip(segment_nodes, segment_nodes[1:]):
-        busy |= state.occupancy[(u, v)]
-    for ch in range(state.topology.grid.channel_count):
-        if ch not in busy:
-            return ch
-    raise NoSpectrum(f"no free channel along {'-'.join(segment_nodes)}")
+    """Lowest channel free on every directed fiber of the segment: the lowest
+    zero bit of their OR-ed masks, which are no wider than the channels in use."""
+    busy = 0
+    for fiber in pairwise(segment_nodes):
+        busy |= state.occupancy[fiber]
+    ch = (~busy & (busy + 1)).bit_length() - 1
+    if ch >= state.topology.grid.channel_count:
+        raise NoSpectrum(f"no free channel along {'-'.join(segment_nodes)}")
+    return ch
 
 
 def _create_lightpath(state, route, mode, b2b_nodes):
-    """Claims first-fit spectrum per transparent segment and registers the LP.
+    """Picks first-fit spectrum per transparent segment and registers the LP;
+    :meth:`NetworkState.add` claims the channels.
 
     Channels are picked for every segment before any is claimed (a simple
     route's segments share no fiber), so NoSpectrum leaves no state behind.
@@ -489,9 +496,6 @@ def _create_lightpath(state, route, mode, b2b_nodes):
     for a, b in pairwise(cuts):
         seg_nodes = tuple(route[a:b + 1])
         segments.append(Segment(seg_nodes, assign_spectrum_first_fit(state, seg_nodes)))
-    for seg in segments:
-        for fiber in pairwise(seg.nodes):
-            state.occupancy[fiber].add(seg.channel)
     lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes),
                    length_km=state.topology.path_length_km(route))
     state.add(lp)
@@ -530,12 +534,8 @@ def _release(state: NetworkState, flow_id: str, placements) -> None:
     for lp_id, rate in placements:
         lp = state.lightpaths[lp_id]
         state.release(lp, flow_id, rate)
-        if lp.carried:
-            continue
-        state.remove(lp)
-        for seg in lp.segments:
-            for fiber in pairwise(seg.nodes):
-                state.occupancy[fiber].discard(seg.channel)
+        if not lp.carried:
+            state.remove(lp)
 
 
 def _place_chain(state: NetworkState, flow: FlowRecord, chain) -> None:

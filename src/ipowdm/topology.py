@@ -92,7 +92,7 @@ class Topology:
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
     grid: ChannelGrid = ChannelGrid()
-    _adj: dict = field(default_factory=dict, repr=False, compare=False)
+    _adj: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -201,12 +201,17 @@ def parse_topology(source: str | dict) -> Topology:
         channel_count=grid_doc.get("channel_count", 50),
         spacing_ghz=grid_doc.get("spacing_ghz", 100),
     )
+    if not isinstance(doc["name"], str):
+        raise TopologyError(f"field 'name' must be a string, got {doc['name']!r}")
     for key in ("nodes", "links"):
         if not isinstance(doc[key], list):
             raise TopologyError(f"field {key!r} must be a JSON array")
+    for i, node in enumerate(doc["nodes"]):
+        if not isinstance(node, str):
+            raise TopologyError(f"node #{i} must be a string, got {node!r}")
     return Topology(
-        name=str(doc["name"]),
-        nodes=tuple(str(n) for n in doc["nodes"]),
+        name=doc["name"],
+        nodes=tuple(doc["nodes"]),
         links=tuple(_parse_link(i, entry) for i, entry in enumerate(doc["links"])),
         grid=grid,
     )

@@ -20,6 +20,15 @@ def mk_topo(name, links, channels=10):
     )
 
 
+def set_claim(state, fiber, channel, claimed):
+    """Set or clear ``channel``'s bit in ``fiber``'s stored mask, behind the
+    back of ``NetworkState.add`` / ``remove``."""
+    if claimed:
+        state.occupancy[fiber] |= 1 << channel
+    else:
+        state.occupancy[fiber] &= ~(1 << channel)
+
+
 def toy_instance(seed: int, max_nodes: int = 4, max_demands: int = 6):
     """Random connected toy network plus demand set, deterministic in seed.
 

@@ -13,6 +13,7 @@ from ipowdm.experiment import (
     CSV_COLUMNS,
     BlockingError,
     ExperimentConfig,
+    RunResult,
     average_rows,
     compare,
     rows_from_csv,
@@ -120,6 +121,14 @@ class TestReporting:
         )
         assert set(entry) == {"topology", "arch", "scenario", "runs", *CSV_COLUMNS[4:]}
 
+    def test_average_rows_sums_left_to_right(self):
+        # ten 0.1s add up to 0.9999999999999999 left to right; sum() of
+        # floats compensates from Python 3.12 on and gives 1.0, which made
+        # averages.json depend on the Python version
+        row = dataclasses.replace(RunResult("t", "TrIP", "TS1", 0, *[0] * 10), power_total=0.1)
+        (entry,) = average_rows([row] * 10)
+        assert entry["power_total"] == 0.9999999999999999 / 10
+
     def test_compare_savings(self):
         rows = run_experiment(
             ExperimentConfig(topologies=[TOY], scenarios=[TS1], seeds=[0])
@@ -199,6 +208,15 @@ class TestCli:
         rows = rows_from_csv((out_a / "rows.csv").read_text())
         assert len(rows) == 4 * 2
         assert {r.arch for r in rows} == {"OpIP", "TrIP", "TrZR", "TrIPandZR"}
+
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    def test_experiment_runs_below_one_is_one_line_error(self, toy_path, tmp_path, capsys,
+                                                         runs):
+        out = tmp_path / "out"
+        rc = main(["experiment", "--topology", toy_path, "--runs", runs, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"ipowdm: error: runs must be >= 1, got {runs}\n"
+        assert not out.exists()
 
     def test_missing_modes_file_is_one_line_error(self, toy_path, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_engine
-from helpers import mk_topo, toy_instance
+from helpers import mk_topo, set_claim, toy_instance
 from ipowdm import rmsa, topology
 from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
@@ -17,6 +17,7 @@ from ipowdm.rmsa import (
     AuxEdge,
     BlockedError,
     NetworkState,
+    NoSpectrum,
     PlannerConfig,
     _GROOM,
     _NEW,
@@ -287,6 +288,23 @@ class TestGrooming:
 
 
 class TestBlockingAndAtomicity:
+    @pytest.mark.parametrize("channels", [3, 10 ** 9])
+    def test_first_fit_takes_the_lowest_free_channel(self, channels):
+        # each fiber's mask is as wide as the channels in use, whatever the grid
+        state = NetworkState(mk_topo("t", LINE_SHORT, channels), "TrIP", PlannerConfig())
+        qpsk = DEFAULT_CATALOG[-1]
+        lps = [_create_lightpath(state, ("a", "b", "c"), qpsk, ()) for _ in range(3)]
+        assert [lp.segments[0].channel for lp in lps] == [0, 1, 2]
+        state.remove(lps[1])
+        assert _create_lightpath(state, ("a", "b"), qpsk, ()).segments[0].channel == 1
+        assert (state.occupancy[("a", "b")], state.occupancy[("b", "c")]) == (0b111, 0b101)
+        state.audit()
+        if channels == 3:
+            with pytest.raises(NoSpectrum, match="no free channel along a-b"):
+                _create_lightpath(state, ("a", "b"), qpsk, ())
+        else:
+            assert _create_lightpath(state, ("a", "b"), qpsk, ()).segments[0].channel == 3
+
     def test_spectrum_exhaustion_blocks_cleanly(self):
         st = provision(
             LINE_SHORT,
@@ -321,7 +339,7 @@ class TestBlockingAndAtomicity:
                        channels=1)
         assert [(d.key, r) for d, r in st.blocked] == [(("a", "c"), "no_spectrum")]
         assert [(lp.id, lp.route) for lp in st.lightpaths.values()] == [(1, ("b", "c"))]
-        assert {f: c for f, c in st.occupancy.items() if c} == {("b", "c"): {0}}
+        assert {f: mask for f, mask in st.occupancy.items() if mask} == {("b", "c"): 1 << 0}
         assert st._next_id == 3
         st.audit()
 
@@ -349,13 +367,13 @@ class TestBlockingAndAtomicity:
         s.records.pop(("b", "c"))
         lp = s.lightpaths.pop(3)
         for fiber in pairwise(lp.segments[0].nodes):
-            s.occupancy[fiber].discard(lp.segments[0].channel)
+            set_claim(s, fiber, lp.segments[0].channel, False)
 
     @pytest.mark.parametrize("corrupt, message", [
         (lambda s: setattr(s.lightpaths[2].segments[0], "channel", 0),
          r"channel clash on fiber \('a', 'b'\) channel 0"),
-        (lambda s: s.occupancy[("b", "c")].add(5), "stored occupancy diverges"),
-        (lambda s: s.occupancy[("a", "b")].discard(0),
+        (lambda s: set_claim(s, ("b", "c"), 5, True), "stored occupancy diverges"),
+        (lambda s: set_claim(s, ("a", "b"), 0, False),
          r"unstored claim on fiber \('a', 'b'\) channel 0"),
         (lambda s: setattr(s.lightpaths[1], "residual", 100), "lightpath 1: residual 100"),
         (lambda s: s.records[("a", "b")][0].placements.clear(), "lightpath 1 carries unplaced"),
@@ -543,6 +561,20 @@ class TestCandidateMemo:
         first = {key[5:]: next(copy.copy(routes))[0].subpath
                  for key, (*_, routes) in topo._aux_memo.items()}
         assert first == {(): ("a", "b"), (600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
+
+    @pytest.mark.parametrize("arch", ["TrIP", "TrZR"])
+    def test_candidate_weights_sum_left_to_right(self, arch):
+        # 10.1 + 100.1 + 98.76 is 208.95999999999998 left to right, as
+        # path_length_km adds; sum() of floats compensates from Python 3.12 on
+        # and gives 208.96, which stays apart once the penalty is added
+        topo = mk_topo("t", [("a", "b", 10.1), ("b", "c", 100.1), ("c", "d", 98.76)])
+        state = NetworkState(topo, arch, PlannerConfig())
+        longest, edges = rmsa._candidate_graph(state, "a", "d", float("inf"))
+        weights = {e.subpath: e.weight for alts in edges.values() for e in alts}
+        assert weights[("a", "b", "c", "d")] == 208.95999999999998 + 2.0
+        assert weights == {sub: topo.path_length_km(sub) + 2.0 for sub in weights}
+        assert len(weights) == (6 if arch == "TrIP" else 1)
+        assert longest == 100.1
 
     def test_grooming_edges_alone_best_first(self):
         # lightpaths opened longest first, so id order is not weight order;

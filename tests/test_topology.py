@@ -100,6 +100,11 @@ class TestValidation:
         ("length_km", "far", "link #0 field 'length_km' must be a number, got 'far'"),
         ("length_km", True, "link #0 field 'length_km' must be a number, got True"),
         ("b", 7, "link #0 field 'b' must be a string, got 7"),
+        # names used to go through str(), so a null node became "None"
+        ("name", None, "field 'name' must be a string, got None"),
+        ("name", 14, "field 'name' must be a string, got 14"),
+        ("nodes", ["a", None], "node #1 must be a string, got None"),
+        ("nodes", [1, "b"], "node #0 must be a string, got 1"),
     ])
     def test_malformed_field_named(self, field_name, value, message):
         doc = {"name": "t", "nodes": ["a", "b"],
@@ -117,6 +122,13 @@ class TestValidation:
                "links": [{"a": "a", "b": "b", "length_km": float(length)}]}
         with pytest.raises(TopologyError, match=r"non-finite length on link \('a','b'\)"):
             parse_topology(doc)
+
+    def test_adjacency_is_not_an_init_argument(self):
+        # __post_init__ always builds it, so neither position nor keyword takes it
+        with pytest.raises(TypeError, match="positional"):
+            Topology("t", ("a", "b"), (Link("a", "b", 1.0),), ChannelGrid(), {"a": {}})
+        with pytest.raises(TypeError, match="_adj"):
+            Topology("t", ("a", "b"), (Link("a", "b", 1.0),), _adj={})
 
     def test_empty_node_list_rejected(self):
         with pytest.raises(TopologyError, match="'nodes' is empty"):
