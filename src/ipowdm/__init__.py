@@ -40,6 +40,7 @@ from .dimensioning import (
     DimensioningConfig,
     NodeEquipment,
     PowerBreakdown,
+    PowerConfigError,
     PowerTable,
     dimension_network,
     dimension_node,

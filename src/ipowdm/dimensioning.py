@@ -22,6 +22,11 @@ from pathlib import Path
 from .rmsa import NetworkState
 
 
+class PowerConfigError(ValueError):
+    """A power table, dimensioning or power config file entry is invalid; the
+    message names it."""
+
+
 @dataclass(frozen=True)
 class PowerTable:
     zr: float = 1.0
@@ -40,8 +45,8 @@ class PowerTable:
             value = getattr(self, f.name)
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not math.isfinite(value) or value < 0):
-                raise ValueError(f"power entry {f.name} must be a finite number >= 0, "
-                                 f"got {value!r}")
+                raise PowerConfigError(f"power entry {f.name} must be a finite number "
+                                       f">= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,29 +70,32 @@ class DimensioningConfig:
             value = getattr(self, f.name)
             least = 1 if f.name.endswith("_capacity") else 0
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"dimensioning entry {f.name} must be an int >= {least}, "
-                                 f"got {value!r}")
+                raise PowerConfigError(f"dimensioning entry {f.name} must be an int "
+                                       f">= {least}, got {value!r}")
 
 
 def _config_section(doc: dict, name: str, cls):
     section = doc.get(name, {})
     if not isinstance(section, dict):
-        raise ValueError(f"power config section {name!r} must be a JSON object")
+        raise PowerConfigError(f"power config section {name!r} must be a JSON object")
     known = {f.name for f in fields(cls)}
     for key in section:
         if key not in known:
-            raise ValueError(f"power config section {name!r}: unknown key {key!r}")
+            raise PowerConfigError(f"power config section {name!r}: unknown key {key!r}")
     return cls(**section)
 
 
 def load_power_config(path: str | Path) -> tuple[PowerTable, DimensioningConfig]:
-    """Read ``{"power": {...}, "dimensioning": {...}}``; unknown entries raise ValueError."""
-    doc = json.loads(Path(path).read_text())
+    """Read ``{"power": {...}, "dimensioning": {...}}``; raises PowerConfigError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PowerConfigError(f"power config {path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("power config must be a JSON object")
+        raise PowerConfigError("power config must be a JSON object")
     for name in doc:
         if name not in ("power", "dimensioning"):
-            raise ValueError(f"power config: unknown section {name!r}")
+            raise PowerConfigError(f"power config: unknown section {name!r}")
     return (
         _config_section(doc, "power", PowerTable),
         _config_section(doc, "dimensioning", DimensioningConfig),

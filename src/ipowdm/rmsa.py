@@ -18,10 +18,14 @@ Demands above 400 Gb/s are inverse-multiplexed into sub-flows before routing
 channels). Each sub-flow is routed on an auxiliary graph: grooming edges
 reuse residual lightpath capacity at strongly reduced weight, candidate edges
 open new lightpaths at physical length plus a small per-lightpath penalty.
-:func:`build_auxiliary_graph` gives the grooming edges; the bypass
-architectures search them alone for a groom chain, then take the memoized
-routes over their :func:`_candidate_graph`, and only OpIP lays them over its
-:func:`_hop_graph`; see :func:`_route_flow`.
+``NetworkState.groomable`` indexes the grooming edges by residual, then by
+start node. TrIP and TrIPandZR search it lazily for a groom chain, reading a
+node's out-edges only when the search settles it and dropping any push
+heavier than the chain length bound allows (:func:`_try_groom_chain`); then
+every bypass flow takes the memoized routes over its :func:`_candidate_graph`.
+OpIP is the one architecture that reads :func:`build_auxiliary_graph`, which
+lays the index's edges out by node pair, over its :func:`_hop_graph`; see
+:func:`_route_flow`.
 
 TrZR's end-to-end grooming is the one demand per node pair, routed as one
 flow, plus the minimum-channel split: no TrZR flow ever finds a lightpath
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import pairwise, tee
 from typing import NamedTuple
 
@@ -145,9 +150,10 @@ class NetworkState:
 
     Lightpaths enter and leave through :meth:`add` / :meth:`remove` and change
     load through :meth:`carry` / :meth:`release`, which keep ``groomable``
-    (residual -> {lp_id: grooming edge}) holding exactly the lightpaths that
-    can take another flow: residual left and fewer than
+    (residual -> start node -> {lp_id: grooming edge}) holding exactly the
+    lightpaths that can take another flow: residual left and fewer than
     ``GROOM_MAX_FLOWS_PER_LP`` flows; none under TrZR, which never grooms.
+    Buckets left empty stay in place.
     ``occupancy`` (directed fiber -> channel mask, bit c set while a segment
     holds channel c there) is written only by :meth:`add` / :meth:`remove`.
     """
@@ -184,11 +190,12 @@ class NetworkState:
 
     def _file(self, lp: Lightpath) -> None:
         if self._grooms(lp):
-            self.groomable.setdefault(lp.residual, {})[lp.id] = lp.groom_edge
+            by_start = self.groomable.setdefault(lp.residual, {})
+            by_start.setdefault(lp.route[0], {})[lp.id] = lp.groom_edge
 
     def _unfile(self, lp: Lightpath) -> None:
         if self._grooms(lp):
-            del self.groomable[lp.residual][lp.id]
+            del self.groomable[lp.residual][lp.route[0]][lp.id]
 
     def add(self, lp: Lightpath) -> None:
         u, v = lp.endpoints
@@ -225,7 +232,8 @@ class NetworkState:
         transparent segment is longer than its mode's reach; stored residuals
         match carried flows; flow placements and lightpath carried
         entries match one for one; ``groomable`` holds each lightpath that can
-        groom, under its residual and with its own edge, and nothing else.
+        groom, under its residual and its route's start node and with its own
+        edge, and nothing else.
         """
         unclaimed = dict(self.occupancy)
         unplaced: dict[int, list[tuple[str, int]]] = {}
@@ -247,20 +255,25 @@ class NetworkState:
                 used += rate
             if lp.residual != lp.mode.rate_gbps - used or lp.residual < 0:
                 raise AssertionError(f"lightpath {lp_id}: residual {lp.residual}, {used}G carried")
-            if self._grooms(lp) and lp_id not in self.groomable.get(lp.residual, ()):
+            if self._grooms(lp) and lp_id not in self.groomable.get(lp.residual, {}).get(
+                    lp.route[0], ()):
                 raise AssertionError(f"lightpath {lp_id}: can groom but is not indexed")
             unplaced[lp_id] = list(lp.carried)
         if any(unclaimed.values()):
             raise AssertionError("stored occupancy diverges from lightpath claims")
-        for residual, bucket in self.groomable.items():
-            for lp_id, edge in bucket.items():
-                lp = self.lightpaths.get(lp_id)
-                if lp is None or lp.residual != residual or not self._grooms(lp):
-                    raise AssertionError(
-                        f"lightpath {lp_id}: stale grooming entry at residual {residual}")
-                if edge != (GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp_id, (),
-                            *lp.endpoints):
-                    raise AssertionError(f"lightpath {lp_id}: grooming edge {edge}")
+        for residual, by_start in self.groomable.items():
+            for start, bucket in by_start.items():
+                for lp_id, edge in bucket.items():
+                    lp = self.lightpaths.get(lp_id)
+                    if lp is None or lp.residual != residual or not self._grooms(lp):
+                        raise AssertionError(
+                            f"lightpath {lp_id}: stale grooming entry at residual {residual}")
+                    if start != lp.route[0]:
+                        raise AssertionError(f"lightpath {lp_id}: grooming entry under "
+                                             f"{start!r}, not its start {lp.route[0]!r}")
+                    if edge != (GROOMING_WEIGHT_FACTOR * lp.length_km, _GROOM, lp_id, (),
+                                *lp.endpoints):
+                        raise AssertionError(f"lightpath {lp_id}: grooming edge {edge}")
         for flows in self.records.values():
             for flow in flows:
                 for lp_id, rate in flow.placements:
@@ -441,13 +454,16 @@ def build_auxiliary_graph(state: NetworkState,
                           demand: Demand) -> dict[tuple[str, str], list[AuxEdge]]:
     """The grooming edges ``demand``'s flow may ride, keyed by (u, v) in fresh
     lists, best first: the stored edges of ``state.groomable``'s buckets with
-    residual >= the demand's rate (none under TrZR, which keeps no index)."""
+    residual >= the demand's rate, every start node's (none under TrZR, which
+    keeps no index). Only OpIP's flows read it, to lay the edges over the hop
+    graph; :func:`_try_groom_chain` reads the same buckets node by node."""
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
-    for residual, bucket in state.groomable.items():  # order is free: alternatives sort
+    for residual, by_start in state.groomable.items():  # order is free: alternatives sort
         if residual < demand.rate_gbps:
             continue
-        for edge in bucket.values():
-            edges.setdefault((edge.u, edge.v), []).append(edge)
+        for u, bucket in by_start.items():
+            for edge in bucket.values():
+                edges.setdefault((u, edge.v), []).append(edge)
     for alts in edges.values():
         alts.sort()
     return edges
@@ -561,16 +577,34 @@ def _place_chain(state: NetworkState, flow: FlowRecord, chain) -> None:
     flow.placements = placements
 
 
-def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
+def _try_groom_chain(state: NetworkState, flow: FlowRecord) -> bool:
     """Ride existing lightpaths end to end if a short, detour-free chain exists.
 
-    Bypass architectures with IP grooming reuse residual capacity along a
-    shortest chain of at most ``GROOM_CHAIN_HOPS`` lightpaths, searched over
-    the grooming edges ``edges`` (:func:`build_auxiliary_graph`). The chain
-    must not be longer than the shortest physical route; otherwise the flow
-    opens a fresh transparent path instead, because half-groomed detours
-    fragment capacity into short, poorly reusable lightpaths.
+    Bypass architectures with IP grooming reuse residual capacity along the
+    lexicographic shortest chain P* of the grooming edges the flow may ride
+    (those :func:`build_auxiliary_graph` returns), if P* has at most
+    ``GROOM_CHAIN_HOPS`` lightpaths and is not longer than the shortest
+    physical route S; otherwise the flow opens a fresh transparent path
+    instead, because half-groomed detours fragment capacity into short,
+    poorly reusable lightpaths.
+
+    The search reads ``state.groomable`` lazily: a node's out-edges are read
+    when it settles, from the buckets with residual >= the flow's rate, the
+    best edge per (u, v) as :class:`AuxEdge` order ranks it; a push heavier
+    than ``C = GROOMING_WEIGHT_FACTOR * S * (1 + 1e-9)`` is dropped.
     """
+    # Dropping pushes above C is exact. Unpruned, the search pops entries in
+    # (dist, path) order, and every entry popped before P* has a key <= P*'s;
+    # the pruned heap holds the same entries less those heavier than C. So if
+    # w(P*) <= C the pruned search pops the same entries and returns P*. If
+    # it reaches no destination, every chain weighs more than C, so its km
+    # (its weight over GROOMING_WEIGHT_FACTOR, up to rounding far below 1e-9)
+    # exceed S and the length bound would have rejected P*. The 1e-9 keeps
+    # a chain of exactly S km, whose summed weights can round above
+    # GROOMING_WEIGHT_FACTOR * S (0.052 > 0.01 * 5.2). Hop count is not
+    # pruned: a 3-hop P* lighter than a 2-hop chain rejects the flow, where a
+    # search stopped at 2 hops would place the 2-hop chain.
+    #
     # Candidate edges need no comparison: a grooming edge of length L that
     # sorts after its pair's best candidate c has GROOMING_WEIGHT_FACTOR * L
     # > c >= S(u, v), the pair's shortest route, so (factor <= 1) any chain
@@ -578,14 +612,43 @@ def _try_groom_chain(state: NetworkState, flow: FlowRecord, edges) -> bool:
     # the length bound. A result avoiding such edges is also the
     # lexicographic shortest path without them; one using them weighs at most
     # any chain without them, which then fails the bound too.
-    chain = _aux_shortest_path(edges, flow.src, flow.dst)
-    if not chain or len(chain) > GROOM_CHAIN_HOPS:
+    src, dst, rate = flow.src, flow.dst, flow.rate_gbps
+    buckets = [by_start for residual, by_start in state.groomable.items() if residual >= rate]
+    if not any(by_start.get(src) for by_start in buckets):
         return False
-    chain_km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
-    if chain_km > state.shortest_km(flow.src, flow.dst):
+    shortest = state.shortest_km(src, dst)
+    bound = GROOMING_WEIGHT_FACTOR * shortest * (1 + 1e-9)
+    picked: dict[tuple[str, str], AuxEdge] = {}  # the edge each push took
+    heap = [(0.0, (src,))]
+    done = set()
+    while heap:
+        dist, path = heappop(heap)
+        node = path[-1]
+        if node in done:
+            continue
+        if node == dst:
+            break
+        done.add(node)
+        best: dict[str, AuxEdge] = {}
+        for by_start in buckets:
+            for edge in by_start.get(node, {}).values():
+                v = edge.v
+                if v not in done and (v not in best or edge < best[v]):
+                    best[v] = edge
+        for v, edge in best.items():
+            weight = dist + edge.weight
+            if weight <= bound:
+                picked[node, v] = edge
+                heappush(heap, (weight, path + (v,)))
+    else:
         return False
-    # every edge grooms a lightpath whose residual was checked when the
-    # graph was built, so placing the chain cannot fail
+    if len(path) - 1 > GROOM_CHAIN_HOPS:
+        return False
+    chain = [picked[key] for key in pairwise(path)]
+    if sum(state.lightpaths[e.lp_id].length_km for e in chain) > shortest:
+        return False
+    # every edge grooms a lightpath whose residual was checked when its
+    # bucket was read, so placing the chain cannot fail
     _place_chain(state, flow, chain)
     return True
 
@@ -594,28 +657,31 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     """Place ``flow`` over the best route of its architecture's graph, trying
     the next best after each route that fails to place (see :func:`_routes`).
 
-    TrIP and TrIPandZR first try a groom chain over the grooming edges; then
+    TrIP and TrIPandZR first try a groom chain (:func:`_try_groom_chain`); then
     every bypass flow, TrZR's too, takes the memoized routes over its
     candidate edges alone (:func:`_candidate_routes`). OpIP lays its grooming
-    pairs over the :func:`_hop_graph`, each pair's merged into a sorted list,
-    and copies only the memoized adjacency rows those pairs change
-    (:func:`_routes` copies every row before it drops an edge). A flow with no route blocks as
-    "no_feasible_mode", one whose every route failed to place as "no_spectrum".
+    pairs (:func:`build_auxiliary_graph`) over the :func:`_hop_graph`, each
+    pair's hop edge after its grooming edges, and copies only the memoized
+    adjacency rows those pairs change (:func:`_routes` copies every row before
+    it drops an edge). A flow with no route blocks as "no_feasible_mode", one
+    whose every route failed to place as "no_spectrum".
     """
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     arch = state.arch
-    groom = build_auxiliary_graph(state, demand) if arch.intermediate_ip_grooming else {}
     if arch.optical_bypass:
-        if groom and _try_groom_chain(state, flow, groom):
+        if arch.intermediate_ip_grooming and _try_groom_chain(state, flow):
             return
         routes = _candidate_routes(state, demand)
     else:
         edges, adj = _hop_graph(state)
         edges, ours = dict(edges), dict(adj)
-        for (u, v), alts in groom.items():
-            alts.extend(edges.get((u, v), ()))
-            alts.sort()
-            edges[u, v] = alts
+        for key, alts in build_auxiliary_graph(state, demand).items():
+            # OpIP's lightpaths span one fiber, so the pair's hop edge, at
+            # its length plus OPAQUE_HOP_WEIGHT, sorts after its grooming
+            # edges, at GROOMING_WEIGHT_FACTOR times that length
+            alts.extend(edges.get(key, ()))
+            edges[key] = alts
+            u, v = key
             row = ours[u]
             if row is adj[u]:  # still the memoized row: copy it before writing
                 row = ours[u] = dict(row)

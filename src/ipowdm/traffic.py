@@ -26,7 +26,7 @@ _WEIGHT_TOL = 1e-9
 
 
 class TrafficError(ValueError):
-    pass
+    """A scenario or demand is invalid; the message names the field."""
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,8 @@ def scenario_from_dict(doc: dict) -> TrafficScenario:
     for key in ("name", "weights"):
         if key not in doc:
             raise TrafficError(f"scenario has no {key!r} field")
+    if not isinstance(doc["name"], str):
+        raise TrafficError(f"scenario field 'name' must be a string, got {doc['name']!r}")
     raw = doc["weights"]
     if not isinstance(raw, dict):
         raise TrafficError("scenario field 'weights' must be an object of rate -> weight")
@@ -95,18 +97,23 @@ def scenario_from_dict(doc: dict) -> TrafficScenario:
         if not (numeric and math.isfinite(weight)):
             raise TrafficError(f"scenario weight {key!r} must be a finite number, got {weight!r}")
     weights = tuple(float(raw.get(r, 0.0)) for r in classes)
-    return TrafficScenario(str(doc["name"]), weights)
+    return TrafficScenario(doc["name"], weights)
 
 
 def load_scenario(name_or_path: str | Path) -> TrafficScenario:
-    """Load a scenario by builtin name (TS1/TS2/TS3) or from a JSON file."""
+    """Load a scenario by builtin name (TS1/TS2/TS3) or from a JSON file;
+    raises TrafficError."""
     name = str(name_or_path)
     if name.upper() in BUILTIN_SCENARIOS:
         text = (
             resources.files("ipowdm.data").joinpath(f"{name.lower()}.json").read_text()
         )
         return scenario_from_dict(json.loads(text))
-    return scenario_from_dict(json.loads(Path(name_or_path).read_text()))
+    try:
+        doc = json.loads(Path(name_or_path).read_text())
+    except json.JSONDecodeError as exc:
+        raise TrafficError(f"scenario file {name_or_path}: invalid JSON: {exc}") from exc
+    return scenario_from_dict(doc)
 
 
 def _draw_rate(rng: random.Random, scenario: TrafficScenario) -> int:

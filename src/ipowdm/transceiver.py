@@ -8,6 +8,7 @@ schema can be loaded for what-if studies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -83,7 +84,10 @@ DEFAULT_CATALOG: tuple[TransceiverMode, ...] = (
 
 def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
     """Read ``{"modes": [{<every TransceiverMode field>}, ...]}``; raises CatalogError."""
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise CatalogError(f"catalog {path}: invalid JSON: {exc}") from exc
     rows = doc.get("modes") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
         raise CatalogError("catalog field 'modes' must be a non-empty list")
@@ -174,15 +178,25 @@ def select_modes_min_channels(link_lengths_km, rate_gbps: int, catalog=DEFAULT_C
     Each mode regenerates back to back where :func:`plan_regeneration` puts
     it. Ties go to fewer total regenerators, lower total power, lower total
     rate and a higher top rate, then to the combination's sorted
-    :func:`_order_key`, the order every other mode choice uses.
+    :func:`_order_key`, the order every other mode choice uses. Returns a
+    fresh list; the combination search is memoized (:func:`_min_channel_split`).
     """
     if rate_gbps <= 0:
         raise ValueError(f"rate must be positive, got {rate_gbps}")
     longest = max(link_lengths_km)
-    usable = [(m, len(plan_regeneration(link_lengths_km, m)))
-              for m in catalog if m.reach_km >= longest]
+    usable = tuple((m, len(plan_regeneration(link_lengths_km, m)))
+                   for m in catalog if m.reach_km >= longest)
     if not usable:
         raise NoFeasibleMode(f"no mode usable over hops {link_lengths_km} even with regeneration")
+    return list(_min_channel_split(rate_gbps, usable))
+
+
+@functools.lru_cache(maxsize=1024)  # a study reads under 50 keys
+def _min_channel_split(rate_gbps: int, usable: tuple) -> tuple[TransceiverMode, ...]:
+    """The modes :func:`select_modes_min_channels` picks from ``usable``, the
+    (mode, regenerations) pairs of the hops, sorted by :func:`_order_key`. It
+    depends on nothing else, so it is memoized per (rate, usable)."""
+    # max_needed copies of the slowest mode cover the rate, so a split exists
     max_needed = -(-rate_gbps // min(m.rate_gbps for m, _ in usable))
     for count in range(1, max_needed + 1):
         best = None
@@ -198,5 +212,4 @@ def select_modes_min_channels(link_lengths_km, rate_gbps: int, catalog=DEFAULT_C
             if best is None or key < best[0]:
                 best = (key, combo)
         if best is not None:
-            return sorted((m for m, _ in best[1]), key=_order_key)
-    raise NoFeasibleMode(f"cannot cover {rate_gbps} Gb/s over hops {link_lengths_km}")
+            return tuple(sorted((m for m, _ in best[1]), key=_order_key))

@@ -11,13 +11,18 @@
   edge built afresh from the k shortest paths, whatever the architecture
   searches. It stands in for ``ipowdm.rmsa._route_flow``, which searches
   per-architecture graphs over memoized edges.
+* :func:`groom_chain` searches a whole graph of scanned grooming edges (in
+  :func:`route_flow`, the merged graph's pairs whose best edge grooms), then
+  applies the hop limit and the length bound to the chain found. It stands
+  in for ``ipowdm.rmsa._try_groom_chain``, which searches every grooming
+  pair, read from the grooming index node by node, and drops pushes beyond
+  the length bound.
 * :func:`merge_pure_ip_regens` scans every lightpath starting at a node for
   a merge partner. It stands in for the engine's pass, which files
   lightpaths by start node, mode and carried flows.
 
-Both reuse the engine's placement (``_place_chain``, ``_try_groom_chain``)
-and state methods, so a test that swaps one in compares only the graph
-search or the partner lookup.
+They reuse the engine's placement (``_place_chain``) and state methods, so a
+test that swaps one in compares only the graph search or the partner lookup.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import heapq
 
 from ipowdm.rmsa import (
+    GROOM_CHAIN_HOPS,
     GROOM_MAX_FLOWS_PER_LP,
     GROOMING_WEIGHT_FACTOR,
     MAX_RETRIES,
@@ -38,7 +44,6 @@ from ipowdm.rmsa import (
     _aux_shortest_path,
     _place_chain,
     _remap_records,
-    _try_groom_chain,
 )
 from ipowdm.topology import k_shortest_paths, lexicographic_dijkstra
 from ipowdm.traffic import Demand
@@ -127,6 +132,20 @@ def merged_graph(state, demand):
     return edges
 
 
+def groom_chain(state, flow, edges):
+    """The lexicographic shortest chain over ``edges`` ({(u, v): alternatives
+    best first}, each pair's best a grooming edge) for ``flow``, or None when
+    there is none, it has more than ``GROOM_CHAIN_HOPS`` lightpaths or it is
+    longer than the shortest route."""
+    chain = _aux_shortest_path(edges, flow.src, flow.dst)
+    if not chain or len(chain) > GROOM_CHAIN_HOPS:
+        return None
+    if sum(state.lightpaths[e.lp_id].length_km for e in chain) > state.shortest_km(
+            flow.src, flow.dst):
+        return None
+    return chain
+
+
 def route_flow(state, flow) -> None:
     """Route ``flow`` over the merged graph: a groom chain first where the
     architecture grooms at intermediate routers over bypass lightpaths, then
@@ -134,7 +153,9 @@ def route_flow(state, flow) -> None:
     demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     edges = merged_graph(state, demand)
     if state.arch.optical_bypass and state.arch.intermediate_ip_grooming:
-        if _try_groom_chain(state, flow, {k: a for k, a in edges.items() if a[0].kind == _GROOM}):
+        chain = groom_chain(state, flow, {k: a for k, a in edges.items() if a[0].kind == _GROOM})
+        if chain:
+            _place_chain(state, flow, chain)
             return
         edges = {key: [e for e in alts if e.kind == _NEW] for key, alts in edges.items()}
         edges = {key: alts for key, alts in edges.items() if alts}

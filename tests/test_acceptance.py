@@ -28,7 +28,7 @@ from ipowdm.dimensioning import network_cost
 from ipowdm.experiment import ExperimentConfig, average_rows, run_experiment, run_single
 from ipowdm.rmsa import ARCH_NAMES, provision_all
 from ipowdm.topology import load_named_topology
-from ipowdm.traffic import load_scenario
+from ipowdm.traffic import Demand, load_scenario
 from ipowdm.transceiver import (
     DEFAULT_CATALOG,
     LinkExceedsReach,
@@ -318,7 +318,8 @@ def test_toy_gap_chains_rejected_by_the_length_bound(case, monkeypatch):
     search = rmsa._try_groom_chain
     rejected = []
 
-    def spied(state, flow, edges):
+    def spied(state, flow):
+        edges = rmsa.build_auxiliary_graph(state, Demand(flow.src, flow.dst, flow.rate_gbps))
         chain = rmsa._aux_shortest_path(edges, flow.src, flow.dst)
         if chain and len(chain) <= rmsa.GROOM_CHAIN_HOPS:
             km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
@@ -326,7 +327,7 @@ def test_toy_gap_chains_rejected_by_the_length_bound(case, monkeypatch):
             if km > shortest:
                 rejected.append((flow.flow_id, flow.rate_gbps, [e.lp_id for e in chain],
                                  km, shortest))
-        return search(state, flow, edges)
+        return search(state, flow)
 
     monkeypatch.setattr(rmsa, "_try_groom_chain", spied)
     provision_all(*toy_instance(seed), arch)

@@ -6,6 +6,7 @@ from helpers import mk_topo, toy_instance
 from ipowdm.dimensioning import (
     DimensioningConfig,
     PowerBreakdown,
+    PowerConfigError,
     PowerTable,
     dimension_network,
     load_power_config,
@@ -70,6 +71,17 @@ class TestPowerTable:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             load_power_config(path)
+
+    def test_errors_are_power_config_errors(self, tmp_path):
+        path = tmp_path / "power.json"
+        path.write_text("{")
+        with pytest.raises(PowerConfigError, match=f"power config {path}: invalid JSON"):
+            load_power_config(path)
+        path.write_text(json.dumps({"power": {"zr": -1}}))
+        with pytest.raises(PowerConfigError, match="power entry zr must be a finite number"):
+            load_power_config(path)
+        with pytest.raises(PowerConfigError, match="dimensioning entry adb_slots"):
+            DimensioningConfig(adb_slots=-1)
 
 
 class TestNodeDimensioning:

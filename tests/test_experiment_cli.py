@@ -226,6 +226,29 @@ class TestCli:
         assert err.startswith("ipowdm: error: ") and str(missing) in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--power-config", "power config {}: invalid JSON: Expecting value"),
+        ("--scenario", "scenario file {}: invalid JSON: Expecting value"),
+        ("--modes", "catalog {}: invalid JSON: Expecting value"),
+    ])
+    def test_malformed_json_input_is_one_line_error_naming_the_file(
+            self, toy_path, tmp_path, capsys, flag, message):
+        path = tmp_path / "bad.json"
+        path.write_text("")
+        rc = main(["plan", "--topology", toy_path, "--arch", "TrIP", flag, str(path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ipowdm: error: " + message.format(path))
+        assert len(err.splitlines()) == 1
+
+    def test_scenario_name_null_is_one_line_error(self, toy_path, tmp_path, capsys):
+        path = tmp_path / "null.json"
+        path.write_text(json.dumps({"name": None, "weights": {"100": 1.0}}))
+        rc = main(["plan", "--topology", toy_path, "--arch", "TrIP", "--scenario", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "ipowdm: error: scenario field 'name' must be a string, got None\n")
+
     def test_malformed_topology_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "t", "nodes": ["a", "b"],

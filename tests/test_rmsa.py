@@ -379,13 +379,17 @@ class TestBlockingAndAtomicity:
         (lambda s: s.records[("a", "b")][0].placements.clear(), "lightpath 1 carries unplaced"),
         (lambda s: s.records[("a", "c")][0].placements.append((9, 400)),
          "a->c#0 placed 400G on 9, not carried"),
-        (lambda s: s.groomable[300].pop(3), "lightpath 3: can groom but is not indexed"),
+        (lambda s: s.groomable[300]["b"].pop(3), "lightpath 3: can groom but is not indexed"),
         (_teardown_behind_index, "lightpath 3: stale grooming entry at residual 300"),
+        # lightpath 3 (b-c) also filed under its end node, where a groom
+        # chain search would read it as an out-edge of c
+        (lambda s: s.groomable[300].setdefault("c", {}).update({3: s.lightpaths[3].groom_edge}),
+         "lightpath 3: grooming entry under 'c', not its start 'b'"),
         # lightpath 2 (a-b-c, 200 km) on the 400G mode that reaches 120 km
         (lambda s: setattr(s.lightpaths[2], "mode", DEFAULT_CATALOG[0]),
          "lightpath 2: segment a-b-c spans 200.0 km, beyond ZR/16QAM/400G's reach"),
     ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements",
-            "unindexed", "stale-index", "reach"])
+            "unindexed", "stale-index", "misfiled", "reach"])
     def test_audit_names_broken_bookkeeping(self, corrupt, message):
         # lightpaths 1 and 2 are full; 3 (b-c, 100G of 400G carried) can groom
         st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400),
@@ -682,6 +686,24 @@ class TestShortestPathReads:
         assert adj == rmsa._adjacency(alternatives)
 
 
+def test_opip_grooming_edges_sort_before_their_hop_edge():
+    # OpIP appends each grooming pair's hop edge without sorting again: every
+    # OpIP lightpath spans one fiber, so its grooming edge weighs less than
+    # the fiber's hop edge
+    topo = load_named_topology("j14")
+    m = generate_traffic(topo, load_scenario("TS3"), 0)
+    seen = 0
+    for state in (provision_all(topo, m, "OpIP"), *(
+            provision_all(*toy_instance(seed), "OpIP") for seed in range(20))):
+        hop_edges, _ = rmsa._hop_graph(state)
+        for rate in (100, 200, 300):  # the graph reads the demand's rate alone
+            demand = Demand(*state.topology.nodes[:2], rate)
+            for key, alts in build_auxiliary_graph(state, demand).items():
+                assert alts[-1] < hop_edges[key][0]
+                seen += 1
+    assert seen
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10_000), st.sampled_from(ARCH_NAMES))
 def test_provisioning_invariants(seed, arch):
@@ -931,13 +953,14 @@ def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_lose
     search = rmsa._try_groom_chain
     losing = []
 
-    def spied(state, flow, edges):
+    def spied(state, flow):
         demand = Demand(flow.src, flow.dst, flow.rate_gbps)
         candidates = reference_engine.candidate_edges(state, demand)
+        edges = build_auxiliary_graph(state, demand)  # every grooming pair
         chain = _aux_shortest_path(edges, flow.src, flow.dst) or ()
         if any(min(candidates.get((e.u, e.v), (e,))) < e for e in chain):
             losing.append((flow.flow_id, len(chain)))
-        return search(state, flow, edges)
+        return search(state, flow)
 
     for arch in GROOMING_ARCHS:
         expected = routing_log(topo, m, arch, reference_engine.route_flow)
@@ -945,6 +968,87 @@ def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_lose
             mp.setattr(rmsa, "_try_groom_chain", spied)
             assert routing_log(topo, m, arch, rmsa._route_flow) == expected, arch
     assert losing and {n for _, n in losing} == {hops}
+
+
+# Hand-built grooming graphs where the chain search's length bound C drops
+# pushes: (links, lightpaths as (route, km or None for the route's own
+# length), the groom chain's flow, the chain the engine places or None). The
+# lightpaths run QPSK 200G and carry nothing, so a 100G flow may ride each.
+BOUND_CASES = {
+    # a-b-c's 200 km chain against the 150 km a-c link: the push over b-c
+    # (weight 2.0 > 1.5) is dropped and no chain reaches c; unpruned, the
+    # chain is found and the length bound rejects it
+    "beyond-bound": ([("a", "b", 100), ("b", "c", 100), ("a", "c", 150)],
+                     [(("a", "b"), None), (("b", "c"), None)], ("a", "c"), None),
+    # a 3-hop chain of weight 3 against a 2-hop one of weight 5, both within
+    # C = 5 (hand-set lengths, off the 600 km links): the 3-hop chain is the
+    # shortest, so the hop limit blocks the flow, where a search that stopped
+    # at 2 hops would place a-z-d
+    "3-hop-lighter": ([("a", "x", 600), ("x", "y", 600), ("y", "d", 600), ("a", "z", 600),
+                       ("z", "d", 600), ("a", "d", 500)],
+                      [(("a", "x"), 100.0), (("x", "y"), 100.0), (("y", "d"), 100.0),
+                       (("a", "z"), 250.0), (("z", "d"), 250.0)], ("a", "d"), None),
+    # the same on physical lengths: a-b-c-d and a-e-d both weigh 3.0 and
+    # span the 300 km of the shortest route; (a, b, c, d) sorts first
+    "3-hop-tie": ([("a", "b", 100), ("b", "c", 100), ("c", "d", 100), ("a", "e", 150),
+                   ("e", "d", 150)],
+                  [(("a", "b"), None), (("b", "c"), None), (("c", "d"), None),
+                   (("a", "e"), None), (("e", "d"), None)], ("a", "d"), None),
+    # 0.0 + 0.001 + 0.051 is 0.052, above 0.01 * 5.2 = 0.05199999999999999:
+    # the chain spans exactly the shortest route, and C's 1e-9 slack keeps it
+    "rounding-slack": ([("x", "y", 0.1), ("y", "z", 5.1)],
+                       [(("x", "y"), None), (("y", "z"), None)], ("x", "z"), [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_groom_chain_search_stops_at_the_length_bound(case):
+    # the engine's pruned search over the index places what a full search of
+    # the scanned grooming edges, the hop limit and the length bound place
+    links, lightpaths, (src, dst), placed = BOUND_CASES[case]
+    topo = mk_topo("t", links)
+    qpsk = DEFAULT_CATALOG[3]
+    assert qpsk.rate_gbps == 200
+
+    def built(arch):
+        state = NetworkState(topo, arch, PlannerConfig())
+        for route, km in lightpaths:
+            state.add(rmsa.Lightpath(state.new_lp_id(), route, qpsk, [],
+                                     length_km=topo.path_length_km(route) if km is None else km))
+        flow = rmsa.FlowRecord(f"{src}->{dst}#0", src, dst, 100)
+        state.records[src, dst] = [flow]
+        return state, flow
+
+    for arch in ("TrIP", "TrIPandZR"):
+        state, flow = built(arch)
+        edges = build_auxiliary_graph(state, Demand(src, dst, 100))
+        expected = reference_engine.groom_chain(state, flow, edges)
+        assert ([e.lp_id for e in expected] if expected else None) == placed
+        assert rmsa._try_groom_chain(state, flow) == (placed is not None)
+        assert [lp_id for lp_id, _ in flow.placements] == (placed or [])
+        state.audit()
+    if case.startswith("3-hop"):
+        # the unpruned shortest chain has 3 hops; without its middle
+        # lightpath the 2-hop chain passes both checks
+        state, flow = built("TrIP")
+        edges = build_auxiliary_graph(state, Demand(src, dst, 100))
+        assert len(_aux_shortest_path(edges, src, dst)) == 3
+        del edges[lightpaths[1][0]]
+        assert [e.lp_id for e in reference_engine.groom_chain(state, flow, edges)] == [4, 5]
+
+
+def test_groom_chain_search_drops_pushes_beyond_the_bound(monkeypatch):
+    # "beyond-bound": the search pushes a-b (1.0 <= 1.5) and drops b-c
+    topo = mk_topo("t", BOUND_CASES["beyond-bound"][0])
+    state = NetworkState(topo, "TrIP", PlannerConfig())
+    for route in (("a", "b"), ("b", "c")):
+        _create_lightpath(state, route, DEFAULT_CATALOG[3], ())
+    pushes = []
+    push = rmsa.heappush
+    monkeypatch.setattr(rmsa, "heappush",
+                        lambda heap, item: pushes.append(item) or push(heap, item))
+    assert not rmsa._try_groom_chain(state, rmsa.FlowRecord("a->c#0", "a", "c", 100))
+    assert pushes == [(1.0, ("a", "b"))]
 
 
 @settings(deadline=None, max_examples=60)

@@ -66,6 +66,8 @@ class TestScenario:
         ({"name": "flat"}, "no 'weights' field"),
         ({"name": "flat", "weights": [0.5, 0.5]}, "'weights' must be an object"),
         ({"weights": {"100": 1.0}}, "no 'name' field"),
+        ({"name": None, "weights": {"100": 1.0}}, "field 'name' must be a string, got None"),
+        ({"name": 7, "weights": {"100": 1.0}}, "field 'name' must be a string, got 7"),
         ([], "scenario must be a JSON object"),
         ({"name": "x", "weights": {"100": 0.5, "200": 0.5, "250": 7}},
          r"weight key '250' is not a rate class"),
@@ -74,12 +76,20 @@ class TestScenario:
         ({"name": "x", "weights": {"100": True}}, "weight '100' must be a finite number"),
         ({"name": "x", "weights": {"100": math.nan, "200": 1.0}},
          "weight '100' must be a finite number"),
-    ], ids=["weights-missing", "weights-list", "name-missing", "document-type",
+    ], ids=["weights-missing", "weights-list", "name-missing", "name-null", "name-number",
+            "document-type",
             "weight-key", "weight-string", "weight-bool", "weight-nan"])
     def test_malformed_scenario_file_named(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(TrafficError, match=message):
+            load_scenario(path)
+
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{")
+        with pytest.raises(TrafficError, match=f"scenario file {path}: invalid JSON"):
             load_scenario(path)
 
 

@@ -9,6 +9,7 @@ from oracle import (
     exhaustive_min_channel_split,
     exhaustive_regen_min,
 )
+from ipowdm import transceiver
 from ipowdm.transceiver import (
     DEFAULT_CATALOG,
     CatalogError,
@@ -235,6 +236,27 @@ class TestMinChannelSplit:
                     except NoFeasibleMode:
                         mine = None
                     assert mine == oracle_count, (rate, lengths)
+
+    def test_memoized_split_returns_a_fresh_list(self):
+        a = select_modes_min_channels([1000], 400)
+        expected = list(a)
+        a.append(a[0])
+        a.reverse()
+        assert select_modes_min_channels([1000], 400) == expected
+
+    def test_memoized_split_still_plans_regeneration_and_raises(self, monkeypatch):
+        # every call scans the catalog through plan_regeneration, and a hop
+        # no mode spans raises each time, naming the hops
+        calls = []
+        plan = transceiver.plan_regeneration
+        monkeypatch.setattr(transceiver, "plan_regeneration",
+                            lambda hops, m: calls.append(m) or plan(hops, m))
+        for _ in range(2):
+            assert len(select_modes_min_channels([700, 700], 600)) == 2
+        assert len(calls) == 2 * 3  # the three modes reaching 700 km
+        for _ in range(2):
+            with pytest.raises(NoFeasibleMode, match=r"hops \[3100\]"):
+                select_modes_min_channels([3100], 100)
 
     def test_covers_rate_and_is_deterministic(self):
         for rate in (100, 300, 500, 600):
