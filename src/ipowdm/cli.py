@@ -70,16 +70,19 @@ def _catalog(args):
     return load_catalog(args.modes) if args.modes else DEFAULT_CATALOG
 
 
-def _write(path_or_none, name, text, out_dir=None):
-    if out_dir is not None:
-        target = Path(out_dir) / name
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text)
+def _write(target, text):
+    """Write ``text`` to the file ``target`` (its directory made if need be),
+    else to stdout, as UTF-8 with ``\n`` line ends whatever the locale."""
+    data = text.encode("utf-8")
+    if target:
+        Path(target).parent.mkdir(parents=True, exist_ok=True)
+        Path(target).write_bytes(data)
         print(f"wrote {target}")
-    elif path_or_none:
-        Path(path_or_none).write_text(text)
-        print(f"wrote {path_or_none}")
-    else:
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()  # a reader that left raises here, not at exit
+    else:  # a text-only stdout (IDLE, a notebook, a StringIO) takes str
         sys.stdout.write(text)
 
 
@@ -87,7 +90,7 @@ def cmd_gen_traffic(args) -> int:
     topo = load_named_topology(args.topology)
     scenario = load_scenario(args.scenario or "TS1")
     matrix = generate_traffic(topo, scenario, args.seed)
-    _write(args.out, None, matrix.to_csv())
+    _write(args.out, matrix.to_csv())
     return 0
 
 
@@ -110,8 +113,8 @@ def cmd_plan(args) -> int:
         "module_cost": row.module_cost, "blocked": row.blocked,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    _write(None, f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json",
-           text, out_dir=args.out or None)
+    name = f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json"
+    _write(args.out and Path(args.out) / name, text)
     return 0
 
 
@@ -134,7 +137,7 @@ def cmd_power(args) -> int:
         text = _csv_text(("node", "power_zr", "power_ip", "power_optical", "power_total"),
                          ([n, *map(float, (pb.zr_zrplus, pb.ip_router, pb.optical, pb.total))]
                           for n, pb in table))
-    _write(args.out, None, text)
+    _write(args.out, text)
     return 0
 
 
@@ -159,25 +162,27 @@ def cmd_experiment(args) -> int:
     )
     rows = run_experiment(cfg)
     averages = average_rows(rows)
-    out_dir = args.out or "."
+    out_dir = Path(args.out or ".")
     if args.format == "json":
-        _write(None, "rows.json", rows_to_json(rows), out_dir=out_dir)
-        _write(None, "averages.json",
-               json.dumps(averages, indent=2, sort_keys=True) + "\n", out_dir=out_dir)
+        _write(out_dir / "rows.json", rows_to_json(rows))
+        _write(out_dir / "averages.json", json.dumps(averages, indent=2, sort_keys=True) + "\n")
     else:
-        _write(None, "rows.csv", rows_to_csv(rows), out_dir=out_dir)
-        _write(None, "averages.csv", dicts_to_csv(averages), out_dir=out_dir)
+        _write(out_dir / "rows.csv", rows_to_csv(rows))
+        _write(out_dir / "averages.csv", dicts_to_csv(averages))
     return 0
 
 
 def cmd_compare(args) -> int:
-    rows = rows_from_csv(Path(args.infile).read_text())
+    try:
+        rows = rows_from_csv(Path(args.infile).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"rows CSV {args.infile}: not UTF-8: {exc}") from exc
     table = compare(average_rows(rows), args.baseline)
     if args.format == "json":
         text = json.dumps(table, indent=2, sort_keys=True) + "\n"
     else:
         text = dicts_to_csv(table)
-    _write(args.out, None, text)
+    _write(args.out, text)
     return 0
 
 

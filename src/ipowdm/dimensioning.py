@@ -14,12 +14,12 @@ optical-side power independent of the traffic scenario and seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .rmsa import NetworkState
+from .topology import read_json
 
 
 class PowerConfigError(ValueError):
@@ -86,11 +86,9 @@ def _config_section(doc: dict, name: str, cls):
 
 
 def load_power_config(path: str | Path) -> tuple[PowerTable, DimensioningConfig]:
-    """Read ``{"power": {...}, "dimensioning": {...}}``; raises PowerConfigError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise PowerConfigError(f"power config {path}: invalid JSON: {exc}") from exc
+    """Read ``{"power": {...}, "dimensioning": {...}}`` from a UTF-8 JSON file;
+    raises PowerConfigError, naming the file if it is not UTF-8 JSON."""
+    doc = read_json(path, PowerConfigError, "power config")
     if not isinstance(doc, dict):
         raise PowerConfigError("power config must be a JSON object")
     for name in doc:

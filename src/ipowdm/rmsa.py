@@ -476,13 +476,10 @@ def _adjacency(edges) -> dict[str, dict[str, float]]:
     return adj
 
 
-def _aux_shortest_path(edges, src, dst, adj=None):
-    """Best edge per node pair along the lexicographic shortest path, or None.
-
-    ``adj`` holds the best weight of each pair of ``edges`` to search, by
-    default every pair.
-    """
-    found = lexicographic_dijkstra(_adjacency(edges) if adj is None else adj, src, dst)
+def _aux_shortest_path(edges, src, dst, adj):
+    """Best edge per node pair along the lexicographic shortest path over
+    ``adj`` (the best weight of each pair of ``edges`` to search), or None."""
+    found = lexicographic_dijkstra(adj, src, dst)
     return None if found is None else [edges[key][0] for key in pairwise(found[1])]
 
 

@@ -180,6 +180,23 @@ class Topology:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def read_json(source: str | Path, error: type[ValueError], what: str, builtins=()):
+    """The JSON document in the file ``source``, or in the shipped
+    ``data/<source>.json`` if ``source`` is one of ``builtins`` (any case),
+    read as UTF-8 whatever the locale (RFC 8259). A file that is not UTF-8
+    JSON raises ``error("<what> <source>: invalid JSON: ...")``; an
+    ``OSError`` such as a missing file passes through, naming the path."""
+    name = str(source)
+    if name.lower() in (b.lower() for b in builtins):
+        file = resources.files("ipowdm.data").joinpath(f"{name.lower()}.json")
+    else:
+        file = Path(source)
+    try:
+        return json.loads(file.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"{what} {name}: invalid JSON: {exc}") from exc
+
+
 def parse_topology(source: str | dict) -> Topology:
     """Parse and validate a topology from a JSON string or an already-decoded dict."""
     if isinstance(source, str):
@@ -234,19 +251,13 @@ def _parse_link(i: int, entry) -> Link:
 
 
 def load_topology(path: str | Path) -> Topology:
-    return parse_topology(Path(path).read_text())
+    """A topology from a UTF-8 JSON file; raises TopologyError."""
+    return parse_topology(read_json(path, TopologyError, "topology"))
 
 
 def load_named_topology(name_or_path: str) -> Topology:
-    """A builtin topology by name (case-insensitive), else a JSON file path."""
-    if name_or_path.lower() in BUILTIN_TOPOLOGIES:
-        text = (
-            resources.files("ipowdm.data")
-            .joinpath(f"{name_or_path.lower()}.json")
-            .read_text()
-        )
-        return parse_topology(text)
-    return load_topology(name_or_path)
+    """A builtin topology by name (any case), else from a UTF-8 JSON file."""
+    return parse_topology(read_json(name_or_path, TopologyError, "topology", BUILTIN_TOPOLOGIES))
 
 
 def lexicographic_dijkstra(adj, src, dst, settled=(), removed_edges=()):

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import random
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
-from .topology import Topology
+from .topology import Topology, read_json
 
 RATE_CLASSES: tuple[int, ...] = (100, 200, 300, 400, 500, 600)
 BUILTIN_SCENARIOS = ("TS1", "TS2", "TS3")
@@ -101,19 +99,10 @@ def scenario_from_dict(doc: dict) -> TrafficScenario:
 
 
 def load_scenario(name_or_path: str | Path) -> TrafficScenario:
-    """Load a scenario by builtin name (TS1/TS2/TS3) or from a JSON file;
-    raises TrafficError."""
-    name = str(name_or_path)
-    if name.upper() in BUILTIN_SCENARIOS:
-        text = (
-            resources.files("ipowdm.data").joinpath(f"{name.lower()}.json").read_text()
-        )
-        return scenario_from_dict(json.loads(text))
-    try:
-        doc = json.loads(Path(name_or_path).read_text())
-    except json.JSONDecodeError as exc:
-        raise TrafficError(f"scenario file {name_or_path}: invalid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    """Load a scenario by builtin name (TS1/TS2/TS3, any case) or from a UTF-8
+    JSON file; raises TrafficError, naming the file if it is not UTF-8 JSON."""
+    return scenario_from_dict(
+        read_json(name_or_path, TrafficError, "scenario file", BUILTIN_SCENARIOS))
 
 
 def _draw_rate(rng: random.Random, scenario: TrafficScenario) -> int:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .topology import read_json
 
 MODULES = ("ZR", "ZR+")
 
@@ -83,11 +83,9 @@ DEFAULT_CATALOG: tuple[TransceiverMode, ...] = (
 )
 
 def load_catalog(path: str | Path) -> tuple[TransceiverMode, ...]:
-    """Read ``{"modes": [{<every TransceiverMode field>}, ...]}``; raises CatalogError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"catalog {path}: invalid JSON: {exc}") from exc
+    """Read ``{"modes": [{<every TransceiverMode field>}, ...]}`` from a UTF-8
+    JSON file; raises CatalogError, naming the file if it is not UTF-8 JSON."""
+    doc = read_json(path, CatalogError, "catalog")
     rows = doc.get("modes") if isinstance(doc, dict) else None
     if not isinstance(rows, list) or not rows:
         raise CatalogError("catalog field 'modes' must be a non-empty list")

@@ -41,6 +41,7 @@ from ipowdm.rmsa import (
     NoSpectrum,
     _GROOM,
     _NEW,
+    _adjacency,
     _aux_shortest_path,
     _place_chain,
     _remap_records,
@@ -137,7 +138,7 @@ def groom_chain(state, flow, edges):
     best first}, each pair's best a grooming edge) for ``flow``, or None when
     there is none, it has more than ``GROOM_CHAIN_HOPS`` lightpaths or it is
     longer than the shortest route."""
-    chain = _aux_shortest_path(edges, flow.src, flow.dst)
+    chain = _aux_shortest_path(edges, flow.src, flow.dst, _adjacency(edges))
     if not chain or len(chain) > GROOM_CHAIN_HOPS:
         return None
     if sum(state.lightpaths[e.lp_id].length_km for e in chain) > state.shortest_km(
@@ -165,7 +166,7 @@ def route_flow(state, flow) -> None:
             edges[key].pop(0)
             if not edges[key]:
                 del edges[key]
-        path = _aux_shortest_path(edges, flow.src, flow.dst)
+        path = _aux_shortest_path(edges, flow.src, flow.dst, _adjacency(edges))
         if path is None:
             raise BlockedError(demand, "no_spectrum" if attempt else "no_feasible_mode")
         try:

@@ -320,7 +320,7 @@ def test_toy_gap_chains_rejected_by_the_length_bound(case, monkeypatch):
 
     def spied(state, flow):
         edges = rmsa.build_auxiliary_graph(state, Demand(flow.src, flow.dst, flow.rate_gbps))
-        chain = rmsa._aux_shortest_path(edges, flow.src, flow.dst)
+        chain = rmsa._aux_shortest_path(edges, flow.src, flow.dst, rmsa._adjacency(edges))
         if chain and len(chain) <= rmsa.GROOM_CHAIN_HOPS:
             km = sum(state.lightpaths[e.lp_id].length_km for e in chain)
             shortest = state.shortest_km(flow.src, flow.dst)

@@ -3,9 +3,13 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ipowdm
 from helpers import mk_topo
 from ipowdm.cli import main
 from ipowdm.dimensioning import network_cost, network_power
@@ -26,6 +30,25 @@ from ipowdm.traffic import generate_traffic, load_scenario
 
 TOY = mk_topo("toy", [("a", "b", 100), ("b", "c", 200), ("a", "c", 400)])
 TS1 = load_scenario("TS1")
+
+# flag, file bytes, the error after "ipowdm: error: " ({} is the file)
+MALFORMED_INPUTS = [
+    ("--power-config", b"", "power config {}: invalid JSON: Expecting value"),
+    ("--scenario", b"", "scenario file {}: invalid JSON: Expecting value"),
+    ("--modes", b"", "catalog {}: invalid JSON: Expecting value"),
+    ("--topology", b"{", "topology {}: invalid JSON: Expecting property name"),
+    *((flag, b"\xff\xfe", f"{what} {{}}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+      for flag, what in (("--power-config", "power config"), ("--scenario", "scenario file"),
+                         ("--modes", "catalog"), ("--topology", "topology"))),
+]
+
+
+def _cli_env():
+    """The environment of a CLI subprocess: no inherited Python or locale
+    settings, and this ipowdm on the path."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "LC_", "LANG"))}
+    env["PYTHONPATH"] = str(Path(ipowdm.__file__).parents[1])
+    return env
 
 
 @pytest.fixture()
@@ -194,6 +217,33 @@ class TestCli:
         for i in range(1, 5):
             assert float(total[i]) == pytest.approx(sum(float(r[i]) for r in nodes))
 
+    def test_non_ascii_names_give_the_same_bytes_under_the_ascii_locale(self, tmp_path):
+        # inputs are read and outputs written as UTF-8 whatever the locale,
+        # so a run under the ASCII locale (no coercion, no UTF-8 mode) gives
+        # the bytes of a run under C.UTF-8
+        topo = mk_topo("netz-süd", [("münchen", "köln", 100), ("köln", "nürnberg", 200),
+                                    ("münchen", "nürnberg", 400)])
+        path = tmp_path / "netz.json"
+        path.write_bytes(json.dumps(topo.to_dict(), ensure_ascii=False).encode())
+        env = {**_cli_env(), "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+        def run(locale, *args):
+            done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "ipowdm.cli", *args],
+                                  env={**env, "LC_ALL": locale}, capture_output=True)
+            assert (done.returncode, done.stderr) == (0, b"")
+            return done.stdout
+
+        outputs = {}
+        for locale in ("C.UTF-8", "C"):
+            out = tmp_path / locale
+            run(locale, "experiment", "--topology", str(path), "--runs", "1", "--out", str(out))
+            outputs[locale] = (run(locale, "power", "--topology", str(path), "--arch", "TrIP"),
+                               (out / "rows.csv").read_bytes(),
+                               (out / "averages.csv").read_bytes())
+        assert outputs["C"] == outputs["C.UTF-8"]
+        power, rows, _ = outputs["C"]
+        assert "münchen".encode() in power and "netz-süd".encode() in rows
+
     def test_experiment_outputs_and_reproducibility(self, toy_path, tmp_path, capsys):
         argv = [
             "experiment", "--topology", toy_path, "--scenario", "TS1",
@@ -226,15 +276,12 @@ class TestCli:
         assert err.startswith("ipowdm: error: ") and str(missing) in err
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--power-config", "power config {}: invalid JSON: Expecting value"),
-        ("--scenario", "scenario file {}: invalid JSON: Expecting value"),
-        ("--modes", "catalog {}: invalid JSON: Expecting value"),
-    ])
+    @pytest.mark.parametrize("flag, content, message", MALFORMED_INPUTS,
+                             ids=[f"{flag}-{message}" for flag, _, message in MALFORMED_INPUTS])
     def test_malformed_json_input_is_one_line_error_naming_the_file(
-            self, toy_path, tmp_path, capsys, flag, message):
+            self, toy_path, tmp_path, capsys, flag, content, message):
         path = tmp_path / "bad.json"
-        path.write_text("")
+        path.write_bytes(content)
         rc = main(["plan", "--topology", toy_path, "--arch", "TrIP", flag, str(path)])
         assert rc == 2
         err = capsys.readouterr().err
@@ -317,6 +364,27 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == ""
         assert sink.read_bytes() == b""
+
+    def test_small_report_into_a_closed_pipe_exits_quietly(self, toy_path):
+        # a report smaller than stdout's buffer meets the closed pipe when it
+        # is flushed: that flush happens in main, not at interpreter exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ipowdm.cli", "power", "--topology",
+                                   toy_path, "--arch", "TrIP"],
+                                  env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
+
+    def test_compare_non_utf8_rows_is_one_line_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_bytes(b"\xff\xfe")
+        assert main(["compare", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ipowdm: error: rows CSV {path}: not UTF-8: ")
+        assert len(err.splitlines()) == 1
 
     def test_compare_absent_baseline_is_one_line_error(self, toy_path, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -21,6 +21,7 @@ from ipowdm.rmsa import (
     PlannerConfig,
     _GROOM,
     _NEW,
+    _adjacency,
     _aux_shortest_path,
     _create_lightpath,
     build_auxiliary_graph,
@@ -633,11 +634,12 @@ class TestAuxShortestPath:
             ("b", "d"): [edge("b", "d", 1.0)],
         }
         for graph in (edges, dict(reversed(list(edges.items())))):
-            path = _aux_shortest_path(graph, "a", "d")
+            path = _aux_shortest_path(graph, "a", "d", _adjacency(graph))
             assert path == [edges[("a", "b")][0], edges[("b", "d")][0]]
         del edges[("a", "b")]
-        assert _aux_shortest_path(edges, "a", "d") == edges[("a", "c")] + edges[("c", "d")]
-        assert _aux_shortest_path(edges, "d", "a") is None
+        adj = _adjacency(edges)
+        assert _aux_shortest_path(edges, "a", "d", adj) == edges[("a", "c")] + edges[("c", "d")]
+        assert _aux_shortest_path(edges, "d", "a", adj) is None
 
 
 class TestShortestPathReads:
@@ -770,7 +772,7 @@ def fresh_routes(edges, src, dst):
     edges = {key: list(alts) for key, alts in edges.items()}
     found = []
     while len(found) < rmsa.MAX_RETRIES:
-        route = _aux_shortest_path(edges, src, dst)
+        route = _aux_shortest_path(edges, src, dst, _adjacency(edges))
         if route is None:
             break
         found.append(route)
@@ -957,7 +959,7 @@ def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_lose
         demand = Demand(flow.src, flow.dst, flow.rate_gbps)
         candidates = reference_engine.candidate_edges(state, demand)
         edges = build_auxiliary_graph(state, demand)  # every grooming pair
-        chain = _aux_shortest_path(edges, flow.src, flow.dst) or ()
+        chain = _aux_shortest_path(edges, flow.src, flow.dst, _adjacency(edges)) or ()
         if any(min(candidates.get((e.u, e.v), (e,))) < e for e in chain):
             losing.append((flow.flow_id, len(chain)))
         return search(state, flow)
@@ -1032,7 +1034,7 @@ def test_groom_chain_search_stops_at_the_length_bound(case):
         # lightpath the 2-hop chain passes both checks
         state, flow = built("TrIP")
         edges = build_auxiliary_graph(state, Demand(src, dst, 100))
-        assert len(_aux_shortest_path(edges, src, dst)) == 3
+        assert len(_aux_shortest_path(edges, src, dst, _adjacency(edges))) == 3
         del edges[lightpaths[1][0]]
         assert [e.lp_id for e in reference_engine.groom_chain(state, flow, edges)] == [4, 5]
 
