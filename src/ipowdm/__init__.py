@@ -19,9 +19,7 @@ from .transceiver import (
     LinkExceedsReach,
     NoFeasibleMode,
     TransceiverMode,
-    feasible_modes,
     plan_regeneration,
-    select_mode_max_rate,
     select_mode_min_regens,
     select_modes_min_channels,
 )

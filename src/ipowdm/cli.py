@@ -104,6 +104,21 @@ def _run_one(args):
     return row, state, pt, dc
 
 
+def _plan_file_name(topology: str, arch: str, scenario: str, seed: int) -> str:
+    """``plan_<topology>_<arch>_<scenario>_<seed>.json``, checked before any
+    directory is made: the topology and scenario names come from the user's
+    files, so the name must be one path component the file system can encode."""
+    name = f"plan_{topology}_{arch}_{scenario}_{seed}.json"
+    try:
+        if not any(sep and sep in name for sep in (os.sep, os.altsep, "\0")):
+            os.fsencode(name)
+            return name
+    except UnicodeEncodeError:
+        pass
+    raise ValueError(f"plan file name for topology {topology!r} and scenario "
+                     f"{scenario!r} is not one file name this file system can encode")
+
+
 def cmd_plan(args) -> int:
     row, state, _, _ = _run_one(args)
     doc = state.to_dict()
@@ -113,7 +128,7 @@ def cmd_plan(args) -> int:
         "module_cost": row.module_cost, "blocked": row.blocked,
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    name = f"plan_{row.topology}_{args.arch}_{row.scenario}_{args.seed}.json"
+    name = args.out and _plan_file_name(row.topology, args.arch, row.scenario, args.seed)
     _write(args.out and Path(args.out) / name, text)
     return 0
 

@@ -46,7 +46,6 @@ from .transceiver import (
     NoFeasibleMode,
     TransceiverMode,
     plan_regeneration,
-    select_mode_max_rate,
     select_mode_min_regens,
     select_modes_min_channels,
 )
@@ -408,17 +407,16 @@ def _routes(edges, adj, src, dst):
 
 def _reach_limit(state: NetworkState, rate: int) -> float:
     """Longest hop a new lightpath may span for a ``rate`` flow, computed
-    once per state and rate: under intermediate grooming (subpath edges) the
-    largest reach of a mode carrying the capped rate, under TrZR (end-to-end
-    edges) the largest reach of any mode."""
+    once per state and rate: the largest reach of a mode whose rate is at
+    least the floor. Under intermediate grooming (subpath edges, one channel
+    each) the floor is the rate capped at the catalog's top rate; under TrZR
+    (end-to-end edges, split over channels) it is 0, so every mode counts."""
     limit = state._reach_limits.get(rate)
     if limit is None:
         catalog = state.catalog
-        if state.arch.intermediate_ip_grooming:
-            capped = min(rate, max(m.rate_gbps for m in catalog))
-            limit = max(m.reach_km for m in catalog if m.rate_gbps >= capped)
-        else:
-            limit = max(m.reach_km for m in catalog)
+        floor = (min(rate, max(m.rate_gbps for m in catalog))
+                 if state.arch.intermediate_ip_grooming else 0)
+        limit = max(m.reach_km for m in catalog if m.rate_gbps >= floor)
         state._reach_limits[rate] = limit
     return limit
 
@@ -531,8 +529,8 @@ def _realize_candidate_edge(state, edge, rate, flow_id, placements):
         mode, boundaries = select_mode_min_regens(lengths, rate, catalog)
         if boundaries:
             cuts = [0, *boundaries, len(subpath) - 1]
-            plan = [(seg, select_mode_max_rate(topo.path_length_km(seg), catalog), (), rate)
-                    for seg in (subpath[a:b + 1] for a, b in pairwise(cuts))]
+            plan = [(subpath[a:b + 1], select_mode_min_regens(lengths[a:b], rate, catalog)[0],
+                     (), rate) for a, b in pairwise(cuts)]
         else:
             plan = [(subpath, mode, (), rate)]
     for route, mode, b2b, amount in plan:
@@ -697,17 +695,16 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
 def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:
     """Inverse-multiplexing split for demands above one channel's capacity.
 
-    Greedy fill with the highest rate feasible without regeneration over the
-    shortest physical path (the catalog's top rate when no mode spans it), so
+    Greedy fill with the highest rate of a mode whose reach spans the
+    shortest physical path (the catalog's top rate when none does), the
+    rate :func:`select_mode_min_regens` picks over that one span, so
     sub-flows ride single lightpaths where the reach allows it.
     """
     if not state.arch.ip_regeneration:
         return [demand.rate_gbps]  # min-channel split handled at realization
-    dist = state.shortest_km(demand.src, demand.dst)
-    try:
-        unit = select_mode_max_rate(dist, state.catalog).rate_gbps
-    except NoFeasibleMode:
-        unit = max(m.rate_gbps for m in state.catalog)
+    dist, catalog = state.shortest_km(demand.src, demand.dst), state.catalog
+    unit = max((m.rate_gbps for m in catalog if m.reach_km >= dist),
+               default=max(m.rate_gbps for m in catalog))
     rates = []
     remaining = demand.rate_gbps
     while remaining > 0:

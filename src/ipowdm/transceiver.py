@@ -115,21 +115,6 @@ def _order_key(m: TransceiverMode) -> tuple:
     return (-m.rate_gbps, m.power_units, -m.reach_km, m.module, m.modulation)
 
 
-def feasible_modes(distance_km: float, catalog=DEFAULT_CATALOG) -> list[TransceiverMode]:
-    """Catalog modes whose reach covers distance_km, ordered by (rate desc, power asc)."""
-    if distance_km < 0:
-        raise ValueError(f"distance must be >= 0, got {distance_km}")
-    return sorted((m for m in catalog if m.reach_km >= distance_km), key=_order_key)
-
-
-def select_mode_max_rate(distance_km: float, catalog=DEFAULT_CATALOG) -> TransceiverMode:
-    """Highest-rate feasible mode; equal rates resolved toward lower power (ZR first)."""
-    modes = feasible_modes(distance_km, catalog)
-    if not modes:
-        raise NoFeasibleMode(f"no mode reaches {distance_km} km")
-    return modes[0]
-
-
 def plan_regeneration(link_lengths_km, mode: TransceiverMode) -> tuple[int, ...]:
     """Greedy farthest-feasible OEO placement; minimal for a fixed mode.
 
@@ -154,8 +139,10 @@ def plan_regeneration(link_lengths_km, mode: TransceiverMode) -> tuple[int, ...]
 def select_mode_min_regens(link_lengths_km, rate_gbps: int, catalog=DEFAULT_CATALOG):
     """(mode, regen boundaries) for one channel of at least rate_gbps over the hops.
 
-    Fewest regenerations first, then the max-rate order of
-    :func:`select_mode_max_rate`, so a spare rate stays groomable.
+    The one rule for a single-channel mode: fewest regenerations first, then
+    :func:`_order_key` (higher rate, lower power, longer reach), so a spare
+    rate stays groomable. Over one span of ``d`` km at rate 0 it picks the
+    highest-rate mode whose reach is at least ``d``.
     """
     best = None
     for m in catalog:

@@ -244,6 +244,38 @@ class TestCli:
         power, rows, _ = outputs["C"]
         assert "münchen".encode() in power and "netz-süd".encode() in rows
 
+    @pytest.mark.parametrize("name", ["/../../escaped", "nul\0byte"])
+    def test_plan_out_refuses_a_topology_name_that_is_not_one_file_name(
+            self, tmp_path, capsys, name):
+        # plan --out names its file after the topology: a name holding a
+        # separator would write outside DIR, so it is refused before DIR is made
+        path = tmp_path / "topo.json"
+        path.write_text(dataclasses.replace(TOY, name=name).to_json())
+        rc = main(["plan", "--topology", str(path), "--arch", "TrIP",
+                   "--out", str(tmp_path / "po" / "deep")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"ipowdm: error: plan file name for topology {name!r} and scenario 'TS1' "
+            "is not one file name this file system can encode\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["topo.json"]
+
+    def test_plan_out_refuses_a_topology_name_the_ascii_locale_cannot_encode(self, tmp_path):
+        # under the ASCII locale (no coercion, no UTF-8 mode) the file system
+        # encoding cannot hold "netz-süd": one error line, and no DIR
+        path = tmp_path / "netz.json"
+        path.write_bytes(json.dumps(dataclasses.replace(TOY, name="netz-süd").to_dict(),
+                                    ensure_ascii=False).encode())
+        env = {**_cli_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "ipowdm.cli", "plan",
+                               "--topology", str(path), "--arch", "TrIP",
+                               "--out", str(tmp_path / "out")], env=env, capture_output=True)
+        assert done.returncode == 2
+        # stderr escapes what the ASCII locale cannot print
+        assert done.stderr == (b"ipowdm: error: plan file name for topology 'netz-s\\xfcd' "
+                               b"and scenario 'TS1' is not one file name this file system "
+                               b"can encode\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["netz.json"]
+
     def test_experiment_outputs_and_reproducibility(self, toy_path, tmp_path, capsys):
         argv = [
             "experiment", "--topology", toy_path, "--scenario", "TS1",

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracle import (
     Infeasible,
@@ -16,10 +17,10 @@ from ipowdm.transceiver import (
     LinkExceedsReach,
     NoFeasibleMode,
     TransceiverMode,
-    feasible_modes,
+    MODULES,
+    _order_key,
     load_catalog,
     plan_regeneration,
-    select_mode_max_rate,
     select_mode_min_regens,
     select_modes_min_channels,
 )
@@ -31,6 +32,25 @@ ZRP_ROW = dict(ZR_ROW, module="ZR+", reach_km=600, power_units=1.3, cost_units=2
 
 # hop lengths of the exhaustive-enumeration lattices
 LENGTHS_POOL = (100, 300, 500, 600, 900, 1200)
+
+BY_KEY = {m.key: m for m in DEFAULT_CATALOG}
+ZRP_16QAM = BY_KEY[("ZR+", "16QAM", 400)]
+
+# valid catalogs whose modes tie on rate, power and reach now and then
+CATALOGS = st.lists(
+    st.builds(TransceiverMode,
+              module=st.sampled_from(MODULES),
+              modulation=st.sampled_from(("QPSK", "8QAM", "16QAM")),
+              reach_km=st.one_of(st.sampled_from((120.0, 600.0, 1800.0)), st.floats(50, 3000)),
+              rate_gbps=st.sampled_from((100, 200, 300, 400)),
+              power_units=st.sampled_from((1.0, 1.3)),
+              cost_units=st.just(1.0)),
+    min_size=1, max_size=6, unique_by=lambda m: m.key)
+
+
+def _best_reaching(catalog, km):
+    """The lowest-_order_key mode whose reach is at least km, or None."""
+    return min((m for m in catalog if m.reach_km >= km), key=_order_key, default=None)
 
 
 class TestCatalog:
@@ -112,9 +132,12 @@ class TestCatalog:
 
 
 class TestModeSelection:
+    """select_mode_min_regens is the one single-channel mode rule; over one
+    span at rate 0 it gives the highest-rate mode reaching the span."""
+
     def test_short_reach_prefers_low_power_module(self):
         # both 400G modes qualify at 100 km; the 1.0-power one wins
-        mode = select_mode_max_rate(100)
+        mode, _ = select_mode_min_regens((100,), 0)
         assert (mode.module, mode.rate_gbps) == ("ZR", 400)
 
     @pytest.mark.parametrize(
@@ -128,21 +151,44 @@ class TestModeSelection:
         ],
     )
     def test_max_rate_by_distance(self, distance, expected):
-        assert select_mode_max_rate(distance).key == expected
+        assert select_mode_min_regens((distance,), 0) == (BY_KEY[expected], ())
 
     def test_beyond_max_reach_raises(self):
         with pytest.raises(NoFeasibleMode):
-            select_mode_max_rate(3001)
+            select_mode_min_regens((3001,), 0)
 
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            feasible_modes(-1)
-
-    def test_feasible_modes_sorted_rate_desc_power_asc(self):
-        modes = feasible_modes(100)
+    def test_reaching_modes_ranked_rate_desc_power_asc(self):
+        modes = sorted((m for m in DEFAULT_CATALOG if m.reach_km >= 100), key=_order_key)
         rates = [m.rate_gbps for m in modes]
         assert rates == sorted(rates, reverse=True)
         assert modes[0].module == "ZR"
+        assert select_mode_min_regens((100,), 0)[0] == modes[0]
+
+    @settings(deadline=None, max_examples=300)
+    @given(CATALOGS, st.lists(st.floats(1, 1500), min_size=1, max_size=6),
+           st.sampled_from((0, 100, 200, 300, 400)))
+    def test_one_span_and_plan_segments_take_the_best_reaching_mode(self, catalog, hops,
+                                                                    rate):
+        # over one span the rule is the best mode by _order_key reaching it
+        best = _best_reaching(catalog, hops[0])
+        if best is None:
+            with pytest.raises(NoFeasibleMode):
+                select_mode_min_regens(hops[:1], 0, catalog)
+        else:
+            assert select_mode_min_regens(hops[:1], 0, catalog) == (best, ())
+        # each segment between the regenerations of a plan needs none of its
+        # own, so its mode is the best one reaching its length, summed left to
+        # right as Topology.path_length_km sums
+        try:
+            mode, boundaries = select_mode_min_regens(hops, rate, catalog)
+        except NoFeasibleMode:
+            return
+        for a, b in itertools.pairwise([0, *boundaries, len(hops)]):
+            *_, km = itertools.accumulate(hops[a:b], initial=0.0)
+            seg_mode, seg_boundaries = select_mode_min_regens(hops[a:b], rate, catalog)
+            assert seg_boundaries == ()
+            assert seg_mode == _best_reaching(catalog, km)
+            assert seg_mode.rate_gbps >= rate
 
     @pytest.mark.parametrize(
         "hops,rate,expected,boundaries",
@@ -168,17 +214,15 @@ class TestModeSelection:
 
 class TestRegeneration:
     def test_three_long_hops_need_two_regens(self):
-        mode = select_mode_max_rate(600)
-        assert plan_regeneration([500, 500, 500], mode) == (1, 2)
+        assert plan_regeneration([500, 500, 500], ZRP_16QAM) == (1, 2)
 
     def test_hops_packed_greedily(self):
-        mode = select_mode_max_rate(600)
         # segments of 400, 300 and 500 km
-        assert plan_regeneration([200, 200, 300, 500], mode) == (2, 3)
+        assert plan_regeneration([200, 200, 300, 500], ZRP_16QAM) == (2, 3)
 
     def test_single_link_beyond_reach_raises(self):
         with pytest.raises(LinkExceedsReach):
-            plan_regeneration([700], select_mode_max_rate(600))
+            plan_regeneration([700], ZRP_16QAM)
 
     def test_greedy_placement_is_minimal_on_lattice(self):
         """Exhaustive interior-subset enumeration agrees on every case."""
