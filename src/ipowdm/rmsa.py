@@ -89,6 +89,9 @@ class PlannerConfig:
     k: int = 3
 
     def __post_init__(self):
+        # a float k would plan like its ceiling under a memo key of its own
+        if isinstance(self.k, bool) or not isinstance(self.k, int):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
@@ -173,6 +176,9 @@ class NetworkState:
         self._next_id = 0
         self._new_lp_penalty = 2.0 * min(m.cost_units for m in catalog)
         self._reach_limits: dict[int, float] = {}  # flow rate -> see _reach_limit
+        # (subpath, rate) -> IP-regenerated plan, shared by every state
+        # planned on this topology and catalog; see _realize_candidate_edge
+        self._plans: dict = topo._plan_memo.setdefault(tuple(catalog), {})
 
     # -- helpers -------------------------------------------------------------
 
@@ -228,7 +234,11 @@ class NetworkState:
         """Check the bookkeeping the engine relies on; raises AssertionError.
 
         Stored occupancy equals the segment claims, without clashes; no
-        transparent segment is longer than its mode's reach; stored residuals
+        transparent segment is longer than its mode's reach; each lightpath's
+        segments are its route, end to end, and its stored ``length_km`` is
+        the route's ``path_length_km``, bit for bit, summed hop by hop over the
+        segments (grooming edges and the groom chain's length bound read the
+        stored length); stored residuals
         match carried flows; flow placements and lightpath carried
         entries match one for one; ``groomable`` holds each lightpath that can
         groom, under its residual and its route's start node and with its own
@@ -236,19 +246,35 @@ class NetworkState:
         """
         unclaimed = dict(self.occupancy)
         unplaced: dict[int, list[tuple[str, int]]] = {}
+        link_length = self.topology.link_length
         for lp_id, lp in self.lightpaths.items():
+            route = lp.route
+            route_km, end = 0.0, 0  # summed hop by hop, as path_length_km sums
             for seg in lp.segments:
-                km = self.topology.path_length_km(seg.nodes)
-                if km > lp.mode.reach_km:
+                start, end = end, end + len(seg.nodes) - 1
+                if seg.nodes != route[start:end + 1]:
                     raise AssertionError(f"lightpath {lp_id}: segment {'-'.join(seg.nodes)} "
-                                         f"spans {km} km, beyond {lp.mode}'s reach")
+                                         f"is not the next part of route {'-'.join(route)}")
+                km = 0.0
                 bit = 1 << seg.channel
                 for fiber in pairwise(seg.nodes):
+                    hop = link_length(*fiber)
+                    km += hop
+                    route_km += hop
                     if not unclaimed.get(fiber, 0) & bit:
                         clash = self.occupancy.get(fiber, 0) & bit
                         raise AssertionError(f"{'channel clash' if clash else 'unstored claim'}"
                                              f" on fiber {fiber} channel {seg.channel}")
                     unclaimed[fiber] ^= bit
+                if km > lp.mode.reach_km:
+                    raise AssertionError(f"lightpath {lp_id}: segment {'-'.join(seg.nodes)} "
+                                         f"spans {km} km, beyond {lp.mode}'s reach")
+            if end != len(route) - 1:
+                raise AssertionError(f"lightpath {lp_id}: segments end short of route "
+                                     f"{'-'.join(route)}")
+            if lp.length_km != route_km:
+                raise AssertionError(f"lightpath {lp_id}: stored length {lp.length_km!r} km, "
+                                     f"route {'-'.join(route)} spans {route_km!r} km")
             used = 0
             for _, rate in lp.carried:
                 used += rate
@@ -495,46 +521,73 @@ def assign_spectrum_first_fit(state: NetworkState, segment_nodes) -> int:
     return ch
 
 
-def _create_lightpath(state, route, mode, b2b_nodes):
-    """Picks first-fit spectrum per transparent segment and registers the LP;
-    :meth:`NetworkState.add` claims the channels.
+def _create_lightpath(state: NetworkState, route, mode, b2b_nodes, length_km,
+                      segment_nodes) -> Lightpath:
+    """Opens one lightpath of a candidate edge's plan: picks first-fit
+    spectrum per transparent segment and registers the LP with the plan's
+    stored length; :meth:`NetworkState.add` claims the channels.
 
     Channels are picked for every segment before any is claimed (a simple
     route's segments share no fiber), so NoSpectrum leaves no state behind.
     """
-    cuts = [0, *map(route.index, b2b_nodes), len(route) - 1]
-    segments = []
-    for a, b in pairwise(cuts):
-        seg_nodes = tuple(route[a:b + 1])
-        segments.append(Segment(seg_nodes, assign_spectrum_first_fit(state, seg_nodes)))
-    lp = Lightpath(state.new_lp_id(), tuple(route), mode, segments, tuple(b2b_nodes),
-                   length_km=state.topology.path_length_km(route))
+    segments = [Segment(nodes, assign_spectrum_first_fit(state, nodes)) for nodes in segment_nodes]
+    lp = Lightpath(state.new_lp_id(), route, mode, segments, b2b_nodes, length_km=length_km)
     state.add(lp)
     return lp
 
 
-def _realize_candidate_edge(state, edge, rate, flow_id, placements):
-    """Open new lightpath(s) for `rate` over edge.subpath, appending to placements,
-    from a plan of (route, mode, b2b regen nodes, amount carried) per lightpath."""
-    topo, catalog, subpath = state.topology, state.catalog, edge.subpath
+def _ip_regenerated_plan(topo: Topology, subpath, rate: int, catalog) -> tuple:
+    """One lightpath over ``subpath``, or one per router-terminated segment
+    where it needs IP regeneration, each segment on its own mode; raises
+    NoFeasibleMode. Pure: it reads only the topology's lengths."""
     lengths = topo.path_link_lengths(subpath)
-    if not state.arch.ip_regeneration:
-        plan, remaining = [], rate
-        for m in select_modes_min_channels(lengths, rate, catalog):
+    mode, boundaries = select_mode_min_regens(lengths, rate, catalog)
+    plan = []
+    for a, b in pairwise((0, *boundaries, len(subpath) - 1)):
+        if boundaries:
+            mode = select_mode_min_regens(lengths[a:b], rate, catalog)[0]
+        route = subpath[a:b + 1]  # subpath itself when it is not cut
+        plan.append((route, mode, (), rate, topo.path_length_km(route), (route,)))
+    return tuple(plan)
+
+
+def _realize_candidate_edge(state, edge, rate, flow_id, placements):
+    """Open new lightpath(s) for ``rate`` over ``edge.subpath``, appending to
+    ``placements``, from a plan that holds, per lightpath, everything but its
+    spectrum: (route, mode, b2b regeneration nodes, amount carried,
+    ``length_km``, the route's node tuples split at the b2b nodes).
+
+    Under IP regeneration the plan (:func:`_ip_regenerated_plan`) depends only
+    on the catalog, the subpath and the rate, so it is read from
+    ``state._plans``, which the topology's ``_plan_memo`` shares by catalog. A
+    subpath that no mode carries is stored as its NoFeasibleMode message,
+    raised afresh on every read. TrZR plans its minimum-channel split on each
+    call: only the split's combination search is memoized
+    (:func:`select_modes_min_channels`). First-fit spectrum runs every time.
+    """
+    subpath = edge.subpath
+    if state.arch.ip_regeneration:
+        plan = state._plans.get((subpath, rate))
+        if plan is None:
+            try:
+                plan = _ip_regenerated_plan(state.topology, subpath, rate, state.catalog)
+            except NoFeasibleMode as exc:
+                plan = str(exc)  # not the exception, which holds its traceback
+            state._plans[subpath, rate] = plan
+        if isinstance(plan, str):
+            raise NoFeasibleMode(plan)
+    else:  # TrZR: parallel lightpaths over the whole subpath, b2b regenerated
+        topo, last = state.topology, len(subpath) - 1
+        lengths = topo.path_link_lengths(subpath)
+        km, remaining, plan = topo.path_length_km(subpath), rate, []
+        for m in select_modes_min_channels(lengths, rate, state.catalog):
             amount = min(remaining, m.rate_gbps)
             remaining -= amount
-            b2b = tuple(subpath[i] for i in plan_regeneration(lengths, m))
-            plan.append((subpath, m, b2b, amount))
-    else:
-        mode, boundaries = select_mode_min_regens(lengths, rate, catalog)
-        if boundaries:
-            cuts = [0, *boundaries, len(subpath) - 1]
-            plan = [(subpath[a:b + 1], select_mode_min_regens(lengths[a:b], rate, catalog)[0],
-                     (), rate) for a, b in pairwise(cuts)]
-        else:
-            plan = [(subpath, mode, (), rate)]
-    for route, mode, b2b, amount in plan:
-        lp = _create_lightpath(state, route, mode, b2b)
+            cuts = plan_regeneration(lengths, m)
+            segments = tuple(subpath[a:b + 1] for a, b in pairwise((0, *cuts, last)))
+            plan.append((subpath, m, tuple(subpath[i] for i in cuts), amount, km, segments))
+    for route, mode, b2b_nodes, amount, km, segments in plan:
+        lp = _create_lightpath(state, route, mode, b2b_nodes, km, segments)
         state.carry(lp, flow_id, amount)
         placements.append((lp.id, amount))
 

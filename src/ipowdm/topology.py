@@ -84,8 +84,11 @@ class Topology:
     keys and alternative tuples are interned in ``_aux_intern``): one entry
     holds OpIP's hop-by-hop graph and its adjacency, and each bypass entry
     the longest hop of a candidate graph and the routes found over it so far,
-    retries included. Every run planned on the same object shares them; they
-    are freed with it.
+    retries included. ``_plan_memo`` maps a catalog (as a tuple) to the
+    realization plans of IP-regenerated candidate edges, per (subpath, rate):
+    each lightpath's route, mode, length and segments, or the failure to find
+    a mode (see ``rmsa._realize_candidate_edge``). Every run planned on the
+    same object shares them; they are freed with it.
     """
 
     name: str
@@ -97,6 +100,7 @@ class Topology:
     _spt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(sorted(self.nodes))

@@ -37,6 +37,11 @@ class TrafficScenario:
             raise TrafficError(
                 f"scenario needs {len(RATE_CLASSES)} weights, got {len(self.weights)}"
             )
+        for rate, w in zip(RATE_CLASSES, self.weights):
+            # NaN passes both checks below, and every draw then takes the top rate
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+                raise TrafficError(f"weight of rate {rate} in scenario {self.name!r} "
+                                   f"must be a finite number, got {w!r}")
         if any(w < 0 for w in self.weights):
             raise TrafficError(f"negative weight in scenario {self.name!r}")
         if abs(sum(self.weights) - 1.0) > _WEIGHT_TOL:

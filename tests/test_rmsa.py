@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 from itertools import pairwise, permutations
 
 import pytest
@@ -31,7 +32,7 @@ from ipowdm.rmsa import (
 )
 from ipowdm.topology import ChannelGrid, k_shortest_paths, load_named_topology
 from ipowdm.traffic import Demand, TrafficMatrix, generate_traffic, load_scenario
-from ipowdm.transceiver import DEFAULT_CATALOG, TransceiverMode
+from ipowdm.transceiver import DEFAULT_CATALOG, NoFeasibleMode, TransceiverMode
 
 LINE_SHORT = [("a", "b", 100), ("b", "c", 100)]
 LINE_LONG = [("a", "b", 600), ("b", "c", 600)]
@@ -50,15 +51,26 @@ def provision(links, arch, *demands, channels=10):
     return provision_all(topo, matrix(*demands), arch)
 
 
+def open_lightpath(state, route, mode):
+    """Open one lightpath over ``route`` on ``mode``, with no back-to-back
+    regeneration, as a candidate edge's plan does."""
+    return _create_lightpath(state, route, mode, (), state.topology.path_length_km(route),
+                             (route,))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"k": 0},
+            {"k": 2.5},
+            {"k": True},
+            {"k": "3"},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        # 2.5 would plan like 3 under a memo key of its own
+        with pytest.raises(ValueError, match=f"^k must be .*, got {kwargs['k']!r}$"):
             PlannerConfig(**kwargs)
 
 
@@ -294,17 +306,17 @@ class TestBlockingAndAtomicity:
         # each fiber's mask is as wide as the channels in use, whatever the grid
         state = NetworkState(mk_topo("t", LINE_SHORT, channels), "TrIP", PlannerConfig())
         qpsk = DEFAULT_CATALOG[-1]
-        lps = [_create_lightpath(state, ("a", "b", "c"), qpsk, ()) for _ in range(3)]
+        lps = [open_lightpath(state, ("a", "b", "c"), qpsk) for _ in range(3)]
         assert [lp.segments[0].channel for lp in lps] == [0, 1, 2]
         state.remove(lps[1])
-        assert _create_lightpath(state, ("a", "b"), qpsk, ()).segments[0].channel == 1
+        assert open_lightpath(state, ("a", "b"), qpsk).segments[0].channel == 1
         assert (state.occupancy[("a", "b")], state.occupancy[("b", "c")]) == (0b111, 0b101)
         state.audit()
         if channels == 3:
             with pytest.raises(NoSpectrum, match="no free channel along a-b"):
-                _create_lightpath(state, ("a", "b"), qpsk, ())
+                open_lightpath(state, ("a", "b"), qpsk)
         else:
-            assert _create_lightpath(state, ("a", "b"), qpsk, ()).segments[0].channel == 3
+            assert open_lightpath(state, ("a", "b"), qpsk).segments[0].channel == 3
 
     def test_spectrum_exhaustion_blocks_cleanly(self):
         st = provision(
@@ -389,8 +401,17 @@ class TestBlockingAndAtomicity:
         # lightpath 2 (a-b-c, 200 km) on the 400G mode that reaches 120 km
         (lambda s: setattr(s.lightpaths[2], "mode", DEFAULT_CATALOG[0]),
          "lightpath 2: segment a-b-c spans 200.0 km, beyond ZR/16QAM/400G's reach"),
+        # one bit off: the groom chain's length bound compares stored lengths
+        (lambda s: setattr(s.lightpaths[3], "length_km", math.nextafter(100.0, 0)),
+         "lightpath 3: stored length 99.99999999999999 km, route b-c spans 100.0 km"),
+        # the stored length is checked against the segments' hops, so they
+        # must be the route's own, end to end
+        (lambda s: setattr(s.lightpaths[2].segments[0], "nodes", ("a", "c")),
+         "lightpath 2: segment a-c is not the next part of route a-b-c"),
+        (lambda s: setattr(s.lightpaths[2].segments[0], "nodes", ("a", "b")),
+         "lightpath 2: segments end short of route a-b-c"),
     ], ids=["clash", "occupancy", "unstored", "residual", "carried", "placements",
-            "unindexed", "stale-index", "misfiled", "reach"])
+            "unindexed", "stale-index", "misfiled", "reach", "length", "off-route", "short"])
     def test_audit_names_broken_bookkeeping(self, corrupt, message):
         # lightpaths 1 and 2 are full; 3 (b-c, 100G of 400G carried) can groom
         st = provision(LINE_SHORT, "TrIP", Demand("a", "b", 400), Demand("a", "c", 400),
@@ -588,7 +609,7 @@ class TestCandidateMemo:
         state = NetworkState(topo, "TrIP", PlannerConfig())
         qpsk = DEFAULT_CATALOG[-1]
         for route in (("a", "c", "b"), ("a", "b"), ("b", "c", "a"), ("b", "a")):
-            _create_lightpath(state, route, qpsk, ())
+            open_lightpath(state, route, qpsk)
         edges = build_auxiliary_graph(state, Demand("a", "b", 100))
         assert {key: [e.lp_id for e in alts] for key, alts in edges.items()} == {
             ("a", "b"): [2, 1], ("b", "a"): [4, 3]}  # 0.2, 30 and 0.2, 30
@@ -617,6 +638,78 @@ class TestCandidateMemo:
                         assert adj == {u: {v: alts[0].weight for (x, v), alts in
                                            candidates.items() if x == u}
                                        for u in {u for u, _ in candidates}}
+
+
+def tight_g17():
+    """g17 on the benchmark's 12-channel grid, where flows block and retry."""
+    return dataclasses.replace(load_named_topology("g17"), grid=ChannelGrid(12, 100))
+
+
+class TestPlanMemo:
+    def test_warm_topology_plans_like_a_fresh_one(self):
+        # every plan after the first reads its IP-regenerated edges' plans
+        # from the topology; states match a fresh topology's, ids included
+        shared = tight_g17()
+        m = generate_traffic(shared, load_scenario("TS3"), 0)
+        fresh = {arch: provision_all(tight_g17(), m, arch).to_dict() for arch in ARCH_NAMES}
+        assert all(state["blocked"] for state in fresh.values())
+        for _ in range(2):
+            for arch in ARCH_NAMES:
+                assert provision_all(shared, m, arch).to_dict() == fresh[arch], arch
+        assert list(shared._plan_memo) == [DEFAULT_CATALOG]
+
+    def test_catalog_keys_the_memo(self):
+        # halved reaches regenerate where the default catalog does not; one
+        # topology planned with the default catalog, then with the halved
+        # one, plans the halved one like a fresh topology
+        half = tuple(dataclasses.replace(m, reach_km=m.reach_km / 2) for m in DEFAULT_CATALOG)
+        shared = load_named_topology("j14")
+        m = generate_traffic(shared, load_scenario("TS1"), 0)
+        for arch in ARCH_NAMES:
+            default = provision_all(shared, m, arch).to_dict()
+            custom = provision_all(shared, m, arch, catalog=half).to_dict()
+            fresh = provision_all(load_named_topology("j14"), m, arch, catalog=half).to_dict()
+            assert custom == fresh != default, arch
+        assert set(shared._plan_memo) == {DEFAULT_CATALOG, half}
+
+    def test_unreachable_hop_fails_alike_cold_and_warm(self):
+        # OpIP's hop edge over a fiber beyond every mode's reach: the memo
+        # keeps the failure's message, not the exception and its traceback,
+        # and every read raises it afresh
+        topo = mk_topo("t", [("a", "b", 3200), ("b", "c", 100)])
+        messages = []
+        for _ in range(2):
+            state = NetworkState(topo, "OpIP", PlannerConfig())
+            (edge,) = rmsa._hop_graph(state)[0][("a", "b")]
+            with pytest.raises(NoFeasibleMode) as raised:
+                rmsa._realize_candidate_edge(state, edge, 100, "a->b#0", [])
+            messages.append(str(raised.value))
+            assert not state.lightpaths
+        assert messages == ["no mode carries 100G over hops [3200.0]"] * 2
+        assert topo._plan_memo[DEFAULT_CATALOG] == {(("a", "b"), 100): messages[0]}
+
+    @pytest.mark.parametrize("links, routes", [
+        (LINE_SHORT, [("a", "b", "c")]),
+        (LINE_XLONG, [("a", "b"), ("b", "c")]),  # 3200 km: the router at b regenerates
+    ], ids=["uncut", "regenerated"])
+    def test_plan_holds_each_lightpath_but_its_spectrum(self, links, routes):
+        topo = mk_topo("t", links)
+        state = NetworkState(topo, "TrIP", PlannerConfig())
+        subpath = ("a", "b", "c")
+        placements = []
+        rmsa._realize_candidate_edge(state, AuxEdge(0.0, _NEW, -1, subpath, "a", "c"), 100,
+                                     "a->c#0", placements)
+        plan = topo._plan_memo[DEFAULT_CATALOG][subpath, 100]
+        assert [route for route, *_ in plan] == routes
+        for (route, mode, b2b, amount, km, segments), (lp_id, rate) in zip(plan, placements,
+                                                                           strict=True):
+            lp = state.lightpaths[lp_id]
+            assert (lp.route, lp.mode, lp.b2b_regen_nodes) == (route, mode, b2b)
+            assert [s.nodes for s in lp.segments] == list(segments) == [route]
+            assert lp.length_km == km == topo.path_length_km(route)
+            assert rate == amount == 100
+        # an uncut subpath is stored as the edge's own tuple, not a copy
+        assert (plan[0][0] is subpath) == (len(plan) == 1)
 
 
 class TestAuxShortestPath:
@@ -973,33 +1066,36 @@ def test_per_architecture_graphs_route_like_the_merged_graph_where_grooming_lose
 
 
 # Hand-built grooming graphs where the chain search's length bound C drops
-# pushes: (links, lightpaths as (route, km or None for the route's own
-# length), the groom chain's flow, the chain the engine places or None). The
-# lightpaths run QPSK 200G and carry nothing, so a 100G flow may ride each.
+# pushes: (links, the routes of the lightpaths, the groom chain's flow, the
+# chain the engine places or None). The lightpaths run QPSK 200G and carry
+# nothing, so a 100G flow may ride each.
 BOUND_CASES = {
     # a-b-c's 200 km chain against the 150 km a-c link: the push over b-c
     # (weight 2.0 > 1.5) is dropped and no chain reaches c; unpruned, the
     # chain is found and the length bound rejects it
     "beyond-bound": ([("a", "b", 100), ("b", "c", 100), ("a", "c", 150)],
-                     [(("a", "b"), None), (("b", "c"), None)], ("a", "c"), None),
-    # a 3-hop chain of weight 3 against a 2-hop one of weight 5, both within
-    # C = 5 (hand-set lengths, off the 600 km links): the 3-hop chain is the
-    # shortest, so the hop limit blocks the flow, where a search that stopped
-    # at 2 hops would place a-z-d
-    "3-hop-lighter": ([("a", "x", 600), ("x", "y", 600), ("y", "d", 600), ("a", "z", 600),
-                       ("z", "d", 600), ("a", "d", 500)],
-                      [(("a", "x"), 100.0), (("x", "y"), 100.0), (("y", "d"), 100.0),
-                       (("a", "z"), 250.0), (("z", "d"), 250.0)], ("a", "d"), None),
-    # the same on physical lengths: a-b-c-d and a-e-d both weigh 3.0 and
-    # span the 300 km of the shortest route; (a, b, c, d) sorts first
+                     [("a", "b"), ("b", "c")], ("a", "c"), None),
+    # a 3-hop chain lighter than a 2-hop one, both within C: a-x-y-d and
+    # a-z-d each span the 300 km of the shortest route, but a-z-d's weights
+    # 0.01 * 4.4 + 0.01 * 295.6 sum to 3.0000000000000004 against
+    # 1.0 + 1.0 + 1.0 = 3.0. The 3-hop chain is the shortest, so the hop
+    # limit blocks the flow, where a search that stopped at 2 hops would
+    # place a-z-d (lengths within C must sum to the shortest route's, so
+    # the lighter chain is lighter by one rounding)
+    "3-hop-lighter": ([("a", "x", 100), ("x", "y", 100), ("y", "d", 100), ("a", "z", 4.4),
+                       ("z", "d", 295.6)],
+                      [("a", "x"), ("x", "y"), ("y", "d"), ("a", "z"), ("z", "d")],
+                      ("a", "d"), None),
+    # the same with a tie: a-b-c-d and a-e-d both weigh 3.0 and span the
+    # 300 km of the shortest route; (a, b, c, d) sorts first
     "3-hop-tie": ([("a", "b", 100), ("b", "c", 100), ("c", "d", 100), ("a", "e", 150),
                    ("e", "d", 150)],
-                  [(("a", "b"), None), (("b", "c"), None), (("c", "d"), None),
-                   (("a", "e"), None), (("e", "d"), None)], ("a", "d"), None),
+                  [("a", "b"), ("b", "c"), ("c", "d"), ("a", "e"), ("e", "d")],
+                  ("a", "d"), None),
     # 0.0 + 0.001 + 0.051 is 0.052, above 0.01 * 5.2 = 0.05199999999999999:
     # the chain spans exactly the shortest route, and C's 1e-9 slack keeps it
     "rounding-slack": ([("x", "y", 0.1), ("y", "z", 5.1)],
-                       [(("x", "y"), None), (("y", "z"), None)], ("x", "z"), [1, 2]),
+                       [("x", "y"), ("y", "z")], ("x", "z"), [1, 2]),
 }
 
 
@@ -1014,9 +1110,9 @@ def test_groom_chain_search_stops_at_the_length_bound(case):
 
     def built(arch):
         state = NetworkState(topo, arch, PlannerConfig())
-        for route, km in lightpaths:
-            state.add(rmsa.Lightpath(state.new_lp_id(), route, qpsk, [],
-                                     length_km=topo.path_length_km(route) if km is None else km))
+        for route in lightpaths:
+            state.add(rmsa.Lightpath(state.new_lp_id(), route, qpsk, [rmsa.Segment(route, 0)],
+                                     length_km=topo.path_length_km(route)))
         flow = rmsa.FlowRecord(f"{src}->{dst}#0", src, dst, 100)
         state.records[src, dst] = [flow]
         return state, flow
@@ -1035,7 +1131,7 @@ def test_groom_chain_search_stops_at_the_length_bound(case):
         state, flow = built("TrIP")
         edges = build_auxiliary_graph(state, Demand(src, dst, 100))
         assert len(_aux_shortest_path(edges, src, dst, _adjacency(edges))) == 3
-        del edges[lightpaths[1][0]]
+        del edges[lightpaths[1]]
         assert [e.lp_id for e in reference_engine.groom_chain(state, flow, edges)] == [4, 5]
 
 
@@ -1044,7 +1140,7 @@ def test_groom_chain_search_drops_pushes_beyond_the_bound(monkeypatch):
     topo = mk_topo("t", BOUND_CASES["beyond-bound"][0])
     state = NetworkState(topo, "TrIP", PlannerConfig())
     for route in (("a", "b"), ("b", "c")):
-        _create_lightpath(state, route, DEFAULT_CATALOG[3], ())
+        open_lightpath(state, route, DEFAULT_CATALOG[3])
     pushes = []
     push = rmsa.heappush
     monkeypatch.setattr(rmsa, "heappush",

@@ -50,6 +50,14 @@ class TestScenario:
         with pytest.raises(TrafficError, match="negative"):
             TrafficScenario("x", (0.5, 0.6, -0.1, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # a NaN weight passes the sign and sum checks, and every draw would
+        # then take the top rate
+        with pytest.raises(TrafficError, match=f"weight of rate 100 in scenario 'x' must be "
+                                               f"a finite number, got {weight!r}"):
+            TrafficScenario("x", (weight, 0.0, 0.0, 0.0, 0.0, 1.0))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(TrafficError, match="sum"):
             TrafficScenario("x", (0.5, 0.1, 0.1, 0.1, 0.1, 0.05))
