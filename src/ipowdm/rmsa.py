@@ -22,7 +22,8 @@ open new lightpaths at physical length plus a small per-lightpath penalty.
 start node. TrIP and TrIPandZR search it lazily for a groom chain, reading a
 node's out-edges only when the search settles it and dropping any push
 heavier than the chain length bound allows (:func:`_try_groom_chain`); then
-every bypass flow takes the memoized routes over its :func:`_candidate_graph`.
+every bypass flow takes the memoized routes over its :func:`_candidate_graph`,
+which is built only for a flow that retries (:func:`_lazy_routes`).
 OpIP is the one architecture that reads :func:`build_auxiliary_graph`, which
 lays the index's edges out by node pair, over its :func:`_hop_graph`; see
 :func:`_route_flow`.
@@ -369,41 +370,80 @@ def _hop_graph(state: NetworkState):
     return graph
 
 
-def _candidate_graph(state: NetworkState, src: str, dst: str, limit: float):
-    """(longest hop, {(u, v): alternatives best-first}) of a bypass flow's
-    new-lightpath edges, one per subpath of the k shortest paths (per path
-    under TrZR) whose longest hop is within ``limit``. Edges, keys and
-    alternative tuples are interned in ``topology._aux_intern``, so graphs
-    that share a subpath share its objects."""
-    topo = state.topology
-    intern = topo._aux_intern.setdefault
-    whole = not state.arch.intermediate_ip_grooming  # TrZR: one edge per path
+def _candidate_graph(paths, lengths, whole: bool, penalty: float, limit: float, intern: dict):
+    """(edges, adjacency) of a bypass flow's new-lightpath graph: edges is
+    {(u, v): alternatives best-first}, one edge per subpath of the k shortest
+    ``paths`` (per path under TrZR, ``whole``) whose longest hop is within
+    ``limit``, weighing its length (``lengths`` holds each path's hops) plus
+    ``penalty``. Edges, keys and alternative tuples are interned in
+    ``intern`` (the topology's ``_aux_intern``), so graphs that share a
+    subpath share its objects."""
+    intern = intern.setdefault
     seen = set()
     alts: dict[tuple[str, str], list[AuxEdge]] = {}
-    longest = 0.0
-    for p in k_shortest_paths(topo, src, dst, state.cfg.k):
-        lengths = topo.path_link_lengths(p)
-        for i in range(1 if whole else len(lengths)):
+    for p, hops in zip(paths, lengths):
+        for i in range(1 if whole else len(hops)):
             # p[i:j + 2]'s length and longest hop as j grows, summed left to
             # right like path_length_km (sum() rounds otherwise from 3.12 on)
             km = hop = 0.0
-            for j in range(i, len(lengths)):
-                km += lengths[j]
-                hop = max(hop, lengths[j])
+            for j in range(i, len(hops)):
+                km += hops[j]
+                hop = max(hop, hops[j])
                 if hop > limit:
                     break
                 sub = p[i:j + 2]
                 if sub in seen or whole and len(sub) < len(p):
                     continue
                 seen.add(sub)
-                longest = max(longest, hop)
-                edge = AuxEdge(km + state._new_lp_penalty, _NEW, -1, sub, sub[0], sub[-1])
+                edge = AuxEdge(km + penalty, _NEW, -1, sub, sub[0], sub[-1])
                 alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
     edges = {}
     for key, found in alts.items():
         found = tuple(sorted(found))
         edges[intern(key, key)] = intern(found, found)
-    return longest, edges
+    return edges, _adjacency(edges)
+
+
+def _lazy_routes(paths, lengths, whole: bool, penalty: float, limit: float, intern: dict):
+    """The :func:`_routes` over the :func:`_candidate_graph` of these
+    arguments, with the graph built only when a flow asks for a second route.
+    The first route is read off ``paths`` wherever the search is known to
+    take the best whole-path edge within ``limit`` (see below); the search
+    replayed for the second must agree, or AssertionError is raised. Only
+    plain data is held, no topology or state, which would make a cycle
+    through the topology's ``_aux_memo`` that reference counting cannot
+    free."""
+    # Why the best whole-path edge W is the first route. Under TrZR every
+    # edge runs src -> dst, so the search takes the pair's best alternative,
+    # W. Otherwise any other route has m >= 2 edges and weighs its walk's
+    # length plus m penalties. The walk holds a simple src -> dst path q no
+    # longer than it, with every hop within the limit, as each lies on an
+    # edge of the graph. Were q shorter than W's path, it would rank before
+    # W's path among the k shortest paths, so it would be one of them and
+    # give a whole-path edge lighter than W. So the route weighs at least W
+    # plus a penalty, reach-limited graph or not. The float sums round by a
+    # few ulps per hop, so a penalty above 1e-9 of W's weight keeps the gap;
+    # with a zero penalty (every cost_units 0) a split of W's path ties W and
+    # wins on node order.
+    src, dst = paths[0][0], paths[0][-1]
+    best = None
+    for p, hops in zip(paths, lengths):
+        if max(hops) <= limit:
+            km = 0.0
+            for hop in hops:
+                km += hop  # as _candidate_graph sums
+            edge = AuxEdge(km + penalty, _NEW, -1, p, src, dst)
+            if best is None or edge < best:
+                best = edge
+    first = None
+    if best is not None and (whole or penalty > 1e-9 * best.weight):
+        first = [intern.setdefault(best, best)]
+        yield first
+    # the graph is not bound here, so a retry's copy (see _routes) is the one kept
+    routes = _routes(*_candidate_graph(paths, lengths, whole, penalty, limit, intern), src, dst)
+    if first is not None and next(routes, None) != first:
+        raise AssertionError(f"{src}->{dst}: the search's first route is not {first}")
+    yield from routes
 
 
 def _routes(edges, adj, src, dst):
@@ -448,22 +488,28 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
 
 
 def _candidate_routes(state: NetworkState, demand: Demand):
-    """A copy of the memoized :func:`_routes` over a bypass flow's
-    :func:`_candidate_graph`, which depends only on the topology, the edge
-    shape (``intermediate_ip_grooming``), (src, dst), ``k`` and the penalty.
-    Each ``topology._aux_memo`` entry, (longest hop, routes), keeps the routes
-    found so far in a tee that is never advanced. Where the demand's
+    """A copy of the memoized :func:`_lazy_routes` over a bypass flow's
+    candidate graph, which depends only on the topology, the edge shape
+    (``intermediate_ip_grooming``), (src, dst), ``k`` and the penalty. Each
+    ``topology._aux_memo`` entry, (longest hop of the k paths, routes), keeps
+    the routes found so far in a tee that is never advanced; the graph itself
+    is built only for a flow that retries. Where the demand's
     :func:`_reach_limit` is below the longest hop, the edges within it are a
     graph of their own, memoized under the key plus the limit.
     """
     src, dst = demand.src, demand.dst
-    memo = state.topology._aux_memo
+    topo = state.topology
+    memo = topo._aux_memo
 
     def entry(key, limit=float("inf")):
         found = memo.get(key)
         if found is None:
-            longest, edges = _candidate_graph(state, src, dst, limit)
-            found = memo[key] = longest, tee(_routes(edges, _adjacency(edges), src, dst), 1)[0]
+            paths = k_shortest_paths(topo, src, dst, state.cfg.k)
+            lengths = [topo.path_link_lengths(p) for p in paths]
+            longest = max(max(hops) for hops in lengths)
+            routes = _lazy_routes(paths, lengths, not state.arch.intermediate_ip_grooming,
+                                  state._new_lp_penalty, limit, topo._aux_intern)
+            found = memo[key] = longest, tee(routes, 1)[0]
         return found
 
     key = (state.arch.intermediate_ip_grooming, src, dst, state.cfg.k, state._new_lp_penalty)

@@ -79,16 +79,19 @@ class Topology:
     """Validated, immutable physical topology. Safe to share across runs.
 
     ``k_shortest_paths`` memoizes its results on the instance (``_ksp_memo``)
-    together with one shortest-path tree per source (``_spt_memo``), and so
-    does the planner's new-lightpath graph build (``_aux_memo``, whose edges,
-    keys and alternative tuples are interned in ``_aux_intern``): one entry
-    holds OpIP's hop-by-hop graph and its adjacency, and each bypass entry
-    the longest hop of a candidate graph and the routes found over it so far,
-    retries included. ``_plan_memo`` maps a catalog (as a tuple) to the
-    realization plans of IP-regenerated candidate edges, per (subpath, rate):
-    each lightpath's route, mode, length and segments, or the failure to find
-    a mode (see ``rmsa._realize_candidate_edge``). Every run planned on the
-    same object shares them; they are freed with it.
+    together with one shortest-path tree per source (``_spt_memo``); a miss
+    with k >= 2 fills the entries of every target of its source. So does the
+    planner's new-lightpath graph build (``_aux_memo``, whose edges, keys and
+    alternative tuples are interned in ``_aux_intern``): one entry holds
+    OpIP's hop-by-hop graph and its adjacency, and each bypass entry the
+    longest hop of a candidate graph and the routes found so far, retries
+    included; the first route is read off the k paths, and the graph is
+    built only when a flow retries. ``_plan_memo`` maps a catalog (as a
+    tuple) to the realization plans of IP-regenerated candidate edges, per
+    (subpath, rate): each lightpath's route, mode, length and segments, or the
+    failure to find a mode (see ``rmsa._realize_candidate_edge``). Every run
+    planned on the same object shares them. No entry refers back to the
+    topology, so reference counting alone frees them with it.
     """
 
     name: str
@@ -308,9 +311,15 @@ def k_shortest_paths(
     The first path is read off the source's shortest-path tree (a search
     without a target, memoized on ``topo`` per source), so ``k=1`` runs no
     spur search. Results are memoized on ``topo`` per (src, dst, k) and
-    returned as the memo's own immutable tuples; arguments are checked on a
-    miss only, as bad ones never enter the memo.
+    returned as the memo's own immutable tuples. A miss with ``k >= 2`` runs
+    Yen from ``src`` to every other node in one pass and fills each
+    (src, t, k) entry not yet held, so each spur search serves every target
+    that asks for it (see :func:`_yen`). ``k`` must be an int on every
+    call, as ``True`` and ``2.0`` would hit the entries of 1 and 2; the other
+    arguments are checked on a miss only, as bad ones never enter the memo.
     """
+    if k.__class__ is not int and (isinstance(k, bool) or not isinstance(k, int)):
+        raise TopologyError(f"k must be an integer, got {k!r}")
     key = (src, dst, k)
     paths = topo._ksp_memo.get(key)
     if paths is None:
@@ -320,23 +329,35 @@ def k_shortest_paths(
             raise TopologyError("source and destination must differ")
         if k < 1:
             raise TopologyError(f"k must be >= 1, got {k}")
-        paths = topo._ksp_memo[key] = _yen(topo, src, dst, k)
+        tree = topo._spt_memo.get(src)
+        if tree is None:
+            tree = topo._spt_memo[src] = lexicographic_dijkstra(topo._adj, src, None)
+        if k == 1:
+            topo._ksp_memo[key] = (tree[dst][1],)
+        else:  # one pass from src, sharing spur trees across its targets
+            spurs: dict = {}
+            for t in topo.nodes:
+                if t != src and (src, t, k) not in topo._ksp_memo:
+                    topo._ksp_memo[src, t, k] = _yen(topo, tree[t], t, k, spurs)
+        paths = topo._ksp_memo[key]
     return paths
 
 
-def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
-    """Yen's k shortest paths, each spurred only from the index where it left
-    its parent (Lawler): a spur below that index repeats the search an
-    earlier path with the same root made, so it adds no candidate. A total is
-    the root's length summed left to right, as ``path_length_km`` sums, plus
-    the spur's length, so it does not depend on the skip."""
+def _yen(topo: Topology, first, dst: str, k: int, spurs: dict) -> tuple[tuple[str, ...], ...]:
+    """Yen's k shortest paths to ``dst`` from the shortest one, ``first`` as
+    (dist, path), each spurred only from the index where it left its parent
+    (Lawler): a spur below that index repeats the search an earlier path with
+    the same root made, so it adds no candidate. A total is the root's length
+    summed left to right, as ``path_length_km`` sums, plus the spur's length,
+    so it does not depend on the skip.
+
+    A spur search depends on its root path and removed edges, not on the
+    target, so it runs without one and its tree is kept in ``spurs`` under
+    (root, removed edges) for the other targets of the source's pass. A
+    tree's entry for a node is what a search stopped there returns (see
+    :func:`lexicographic_dijkstra`), so each list is plain Yen's, bit for
+    bit."""
     adj = topo._adj
-    tree = topo._spt_memo.get(src)
-    if tree is None:
-        tree = topo._spt_memo[src] = lexicographic_dijkstra(adj, src, None)
-    first = tree.get(dst)
-    if first is None:
-        return ()
     # (total, path, deviation index); paths are unique, so the index never decides
     accepted = [(*first, 0)]
     candidates: list[tuple[float, tuple[str, ...], int]] = []
@@ -346,8 +367,12 @@ def _yen(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], .
         root_len = topo.path_length_km(prev_path[: deviation + 1])
         for i in range(deviation, len(prev_path) - 1):
             root = prev_path[: i + 1]
-            removed_edges = {p[i:i + 2] for _, p, _ in accepted if p[: i + 1] == root}
-            res = lexicographic_dijkstra(adj, root[-1], dst, root[:-1], removed_edges)
+            removed_edges = frozenset(p[i:i + 2] for _, p, _ in accepted if p[: i + 1] == root)
+            spur = spurs.get((root, removed_edges))
+            if spur is None:
+                spur = spurs[root, removed_edges] = lexicographic_dijkstra(
+                    adj, root[-1], None, root[:-1], removed_edges)
+            res = spur.get(dst)
             if res is not None:
                 spur_len, spur_path = res
                 full = root[:-1] + spur_path

@@ -1,8 +1,10 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import math
+import weakref
 from itertools import pairwise, permutations
 
 import pytest
@@ -504,6 +506,8 @@ SHORT_REACH = (
 )
 # a different minimum cost, so a different new-lightpath penalty
 DEAR = tuple(dataclasses.replace(m, cost_units=m.cost_units * 3) for m in DEFAULT_CATALOG)
+# every module free, so no new-lightpath penalty at all
+FREE = tuple(dataclasses.replace(m, cost_units=0.0) for m in DEFAULT_CATALOG)
 
 
 def candidate_graph(state, demand):
@@ -514,16 +518,20 @@ def candidate_graph(state, demand):
     of the sequence."""
     if not state.arch.optical_bypass:
         return (*rmsa._hop_graph(state), None)
-    limit = rmsa._reach_limit(state, demand.rate_gbps)
-    _, edges = rmsa._candidate_graph(state, demand.src, demand.dst, limit)
-    return edges, rmsa._adjacency(edges), list(rmsa._candidate_routes(state, demand))
+    topo = state.topology
+    paths = k_shortest_paths(topo, demand.src, demand.dst, state.cfg.k)
+    graph = rmsa._candidate_graph(
+        paths, [topo.path_link_lengths(p) for p in paths],
+        not state.arch.intermediate_ip_grooming, state._new_lp_penalty,
+        rmsa._reach_limit(state, demand.rate_gbps), topo._aux_intern)
+    return *graph, list(rmsa._candidate_routes(state, demand))
 
 
 class TestCandidateMemo:
     def test_shared_topology_plans_like_fresh_ones(self):
         shared = mk_topo("t", DETOUR)
         m = matrix(*DETOUR_DEMANDS)
-        for catalog in (DEFAULT_CATALOG, DEAR, SHORT_REACH, DEFAULT_CATALOG):
+        for catalog in (DEFAULT_CATALOG, DEAR, SHORT_REACH, FREE, DEFAULT_CATALOG):
             for k in (2, 3):
                 for arch in ARCH_NAMES:
                     cfg = PlannerConfig(k)
@@ -588,6 +596,25 @@ class TestCandidateMemo:
                  for key, (*_, routes) in topo._aux_memo.items()}
         assert first == {(): ("a", "b"), (600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
 
+    def test_zero_penalty_split_wins_the_tie_with_the_whole_path(self):
+        # a-c weighs 0.1 + 0.2 whole and split alike when no new lightpath
+        # costs anything; the search then ranks a-b-c before a-c on node
+        # order, so the first route cannot be read off the paths
+        topo = mk_topo("t", [("a", "b", 0.1), ("b", "c", 0.2)])
+        state = NetworkState(topo, "TrIP", PlannerConfig(), FREE)
+        demand = Demand("a", "c", 100)
+        route_demand(state, demand)
+        ((_, routes),) = topo._aux_memo.values()
+        first = next(copy.copy(routes))
+        assert [e.subpath for e in first] == [("a", "b"), ("b", "c")]
+        (whole,) = candidate_graph(state, demand)[0][("a", "c")]
+        assert first[0].weight + first[1].weight == whole.weight == 0.30000000000000004
+        fresh = reference_engine.candidate_edges(
+            NetworkState(mk_topo("t", [("a", "b", 0.1), ("b", "c", 0.2)]), "TrIP",
+                         PlannerConfig(), FREE), demand)
+        fresh = {uv: tuple(sorted(alts)) for uv, alts in fresh.items()}
+        assert first == fresh_routes(fresh, "a", "c")[0]
+
     @pytest.mark.parametrize("arch", ["TrIP", "TrZR"])
     def test_candidate_weights_sum_left_to_right(self, arch):
         # 10.1 + 100.1 + 98.76 is 208.95999999999998 left to right, as
@@ -595,11 +622,15 @@ class TestCandidateMemo:
         # and gives 208.96, which stays apart once the penalty is added
         topo = mk_topo("t", [("a", "b", 10.1), ("b", "c", 100.1), ("c", "d", 98.76)])
         state = NetworkState(topo, arch, PlannerConfig())
-        longest, edges = rmsa._candidate_graph(state, "a", "d", float("inf"))
+        edges, _, routes = candidate_graph(state, Demand("a", "d", 100))
         weights = {e.subpath: e.weight for alts in edges.values() for e in alts}
         assert weights[("a", "b", "c", "d")] == 208.95999999999998 + 2.0
         assert weights == {sub: topo.path_length_km(sub) + 2.0 for sub in weights}
         assert len(weights) == (6 if arch == "TrIP" else 1)
+        # the first route, read off the paths, sums the same way
+        assert routes[0] == [edges[("a", "d")][0]]
+        assert routes[0][0].weight == 208.95999999999998 + 2.0
+        ((longest, _),) = topo._aux_memo.values()  # no mode's reach drops a hop
         assert longest == 100.1
 
     def test_grooming_edges_alone_best_first(self):
@@ -643,6 +674,26 @@ class TestCandidateMemo:
 def tight_g17():
     """g17 on the benchmark's 12-channel grid, where flows block and retry."""
     return dataclasses.replace(load_named_topology("g17"), grid=ChannelGrid(12, 100))
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_planned_topology_freed_by_reference_counting(arch):
+    # no memo entry refers back to the topology or to a state, so both go
+    # as their last reference does, with the cycle collector off; retries
+    # build candidate graphs, so every memo is filled
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        topo = tight_g17()
+        state = provision_all(topo, generate_traffic(topo, load_scenario("TS3"), 0), arch)
+        assert any(reason == "no_spectrum" for _, reason in state.blocked)
+        assert topo._aux_memo and topo._plan_memo
+        refs = weakref.ref(topo), weakref.ref(state)
+        del topo, state
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class TestPlanMemo:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -190,8 +191,11 @@ class TestShortestPaths:
             k_shortest_paths(TRIANGLE, "A", "Z", 1)
 
     def test_k_below_one_rejected(self):
-        with pytest.raises(TopologyError):
-            k_shortest_paths(TRIANGLE, "A", "B", 0)
+        # and, as PlannerConfig rules, a k that is not an int: a float would
+        # plan like its ceiling, True like 1, and a string fail to compare
+        for k in (0, 2.5, True, "3"):
+            with pytest.raises(TopologyError, match="k must be"):
+                k_shortest_paths(TRIANGLE, "A", "B", k)
 
     def test_k_saturates_at_simple_path_count(self):
         paths = k_shortest_paths(TRIANGLE, "A", "C", 50)
@@ -215,7 +219,10 @@ class TestShortestPaths:
     def test_bad_arguments_rejected_on_warm_topology(self):
         topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1)])
         k_shortest_paths(topo, "a", "c", 1)
-        for src, dst, k in (("a", "a", 1), ("a", "z", 1), ("a", "c", 0)):
+        k_shortest_paths(topo, "a", "c", 2)
+        # True and 2.0 equal the keys of the entries held for 1 and 2
+        for src, dst, k in (("a", "a", 1), ("a", "z", 1), ("a", "c", 0), ("a", "c", 2.5),
+                            ("a", "c", True), ("a", "c", 2.0), ("a", "c", "3")):
             with pytest.raises(TopologyError):
                 k_shortest_paths(topo, src, dst, k)
 
@@ -257,6 +264,18 @@ def _assert_matches_plain_yen(topo, ks):
         for src, dst in itertools.permutations(topo.nodes, 2):
             assert k_shortest_paths(topo, src, dst, k) == \
                 reference_engine.yen_k_shortest_paths(topo, src, dst, k), (src, dst, k)
+    # on a twin with a memo of its own, the pairs in shuffled order and k
+    # cycling through 1, 3, 2: each source's pass starts from a memo that
+    # earlier passes partly filled, and leaves the entries held as they were
+    twin = dataclasses.replace(topo)
+    pairs = list(itertools.permutations(topo.nodes, 2))
+    random.Random(len(pairs)).shuffle(pairs)
+    for i, (src, dst) in enumerate(pairs):
+        k = (1, 3, 2)[i % 3]
+        held = dict(twin._ksp_memo)
+        assert k_shortest_paths(twin, src, dst, k) == \
+            reference_engine.yen_k_shortest_paths(topo, src, dst, k), (src, dst, k)
+        assert all(twin._ksp_memo[key] is paths for key, paths in held.items())
 
 
 class TestAgainstPlainYen:
