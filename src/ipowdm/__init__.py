@@ -9,7 +9,6 @@ from .topology import (
     TopologyError,
     k_shortest_paths,
     load_named_topology,
-    load_topology,
     parse_topology,
 )
 from .traffic import Demand, TrafficMatrix, TrafficScenario, generate_traffic, load_scenario

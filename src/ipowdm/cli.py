@@ -15,7 +15,6 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -29,10 +28,12 @@ from .dimensioning import (
 from .experiment import (
     BlockingError,
     ExperimentConfig,
-    _csv_text,
     average_rows,
     compare,
     dicts_to_csv,
+    plan_to_json,
+    power_to_csv,
+    power_to_json,
     rows_from_csv,
     rows_to_csv,
     rows_to_json,
@@ -40,7 +41,7 @@ from .experiment import (
     run_single,
 )
 from .rmsa import ARCH_NAMES, PlannerConfig
-from .topology import load_named_topology
+from .topology import json_text, load_named_topology
 from .traffic import generate_traffic, load_scenario
 from .transceiver import DEFAULT_CATALOG, load_catalog
 
@@ -121,38 +122,15 @@ def _plan_file_name(topology: str, arch: str, scenario: str, seed: int) -> str:
 
 def cmd_plan(args) -> int:
     row, state, _, _ = _run_one(args)
-    doc = state.to_dict()
-    doc["summary"] = {
-        "zr_count": row.zr_count, "zrplus_count": row.zrplus_count,
-        "b2b_modules": row.b2b_modules, "router_ports": row.router_ports,
-        "module_cost": row.module_cost, "blocked": row.blocked,
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     name = args.out and _plan_file_name(row.topology, args.arch, row.scenario, args.seed)
-    _write(args.out and Path(args.out) / name, text)
+    _write(args.out and Path(args.out) / name, plan_to_json(row, state))
     return 0
 
 
 def cmd_power(args) -> int:
     _, state, pt, dc = _run_one(args)
-    per_node, total = network_power(state, pt, dc)
-    if args.format == "json":
-        doc = {
-            "per_node": {
-                n: {"zr_zrplus": pb.zr_zrplus, "ip_router": pb.ip_router,
-                    "optical": pb.optical, "total": pb.total}
-                for n, pb in sorted(per_node.items())
-            },
-            "total": {"zr_zrplus": total.zr_zrplus, "ip_router": total.ip_router,
-                      "optical": total.optical, "total": total.total},
-        }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    else:
-        table = [*sorted(per_node.items()), ("TOTAL", total)]
-        text = _csv_text(("node", "power_zr", "power_ip", "power_optical", "power_total"),
-                         ([n, *map(float, (pb.zr_zrplus, pb.ip_router, pb.optical, pb.total))]
-                          for n, pb in table))
-    _write(args.out, text)
+    report = power_to_json if args.format == "json" else power_to_csv
+    _write(args.out, report(*network_power(state, pt, dc)))
     return 0
 
 
@@ -180,7 +158,7 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out or ".")
     if args.format == "json":
         _write(out_dir / "rows.json", rows_to_json(rows))
-        _write(out_dir / "averages.json", json.dumps(averages, indent=2, sort_keys=True) + "\n")
+        _write(out_dir / "averages.json", json_text(averages))
     else:
         _write(out_dir / "rows.csv", rows_to_csv(rows))
         _write(out_dir / "averages.csv", dicts_to_csv(averages))
@@ -193,11 +171,7 @@ def cmd_compare(args) -> int:
     except UnicodeDecodeError as exc:
         raise ValueError(f"rows CSV {args.infile}: not UTF-8: {exc}") from exc
     table = compare(average_rows(rows), args.baseline)
-    if args.format == "json":
-        text = json.dumps(table, indent=2, sort_keys=True) + "\n"
-    else:
-        text = dicts_to_csv(table)
-    _write(args.out, text)
+    _write(args.out, json_text(table) if args.format == "json" else dicts_to_csv(table))
     return 0
 
 

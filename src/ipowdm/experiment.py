@@ -1,26 +1,22 @@
 """Batch experiment runner and reporting: one row per (topology, architecture,
 scenario, seed), plus per-cell averages over seeds and savings tables against a
-baseline architecture. Output is deterministic and byte-stable."""
+baseline architecture, and the one-run ``plan`` and ``power`` reports. Output
+is deterministic and byte-stable."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
-from .dimensioning import DimensioningConfig, PowerTable, network_cost, network_power
-from .rmsa import ARCH_NAMES, PlannerConfig, provision_all
-from .topology import Topology
+from .dimensioning import (DimensioningConfig, PowerBreakdown, PowerTable, network_cost,
+                           network_power)
+from .rmsa import ARCH_NAMES, NetworkState, PlannerConfig, provision_all
+from .topology import Topology, json_text
 from .traffic import TrafficScenario, generate_traffic
 from .transceiver import DEFAULT_CATALOG
-
-CSV_COLUMNS = (
-    "topology", "arch", "scenario", "seed",
-    "zr_count", "zrplus_count", "b2b_modules", "router_ports", "module_cost",
-    "power_zr", "power_ip", "power_optical", "power_total", "blocked",
-)
 
 
 class BlockingError(RuntimeError):
@@ -43,6 +39,9 @@ class RunResult:
     power_optical: float
     power_total: float
     blocked: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(RunResult))
 
 
 @dataclass
@@ -197,16 +196,18 @@ def rows_from_csv(text: str) -> list[RunResult]:
             raise ValueError(
                 f"CSV row {n} has {len(rec)} fields, expected {len(CSV_COLUMNS)}"
             )
-        fields = {}
+        values = {}
         for column, value in zip(CSV_COLUMNS, rec):
             kind = _COLUMN_TYPES[column]
             try:
-                fields[column] = kind(value)
+                values[column] = x = kind(value)
             except ValueError:
-                raise ValueError(
-                    f"CSV row {n} column {column!r}: expected {kind.__name__}, got {value!r}"
-                ) from None
-        out.append(RunResult(**fields))
+                x = None
+            # a tally or a power is finite and not negative; a seed is any int
+            if x is None or (column in _NUMERIC and not 0 <= x < math.inf):
+                need = kind.__name__ if x is None else f"finite non-negative {kind.__name__}"
+                raise ValueError(f"CSV row {n} column {column!r}: expected {need}, got {value!r}")
+        out.append(RunResult(**values))
     return out
 
 
@@ -218,4 +219,31 @@ def dicts_to_csv(entries: list[dict]) -> str:
 
 
 def rows_to_json(rows: list[RunResult]) -> str:
-    return json.dumps([asdict(r) for r in rows], indent=2, sort_keys=True) + "\n"
+    return json_text([asdict(r) for r in rows])
+
+
+def plan_to_json(row: RunResult, state: NetworkState) -> str:
+    """The ``plan`` report: ``state``'s lightpaths and blocked demands, and
+    ``row``'s module tally under ``summary``."""
+    doc = state.to_dict()
+    doc["summary"] = {c: getattr(row, c) for c in (
+        "zr_count", "zrplus_count", "b2b_modules", "router_ports", "module_cost", "blocked")}
+    return json_text(doc)
+
+
+_POWER_PARTS = ("zr_zrplus", "ip_router", "optical", "total")
+
+
+def power_to_json(per_node: dict[str, PowerBreakdown], total: PowerBreakdown) -> str:
+    """The ``power`` report of :func:`network_power`'s result as JSON."""
+    def parts(pb):
+        return {p: getattr(pb, p) for p in _POWER_PARTS}
+    return json_text({"per_node": {n: parts(pb) for n, pb in sorted(per_node.items())},
+                      "total": parts(total)})
+
+
+def power_to_csv(per_node: dict[str, PowerBreakdown], total: PowerBreakdown) -> str:
+    """The ``power`` report as CSV: one row per node, then ``TOTAL``."""
+    table = [*sorted(per_node.items()), ("TOTAL", total)]
+    return _csv_text(("node", "power_zr", "power_ip", "power_optical", "power_total"),
+                     ([n, *(float(getattr(pb, p)) for p in _POWER_PARTS)] for n, pb in table))

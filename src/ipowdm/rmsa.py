@@ -98,10 +98,10 @@ class PlannerConfig:
 
 
 class BlockedError(Exception):
-    def __init__(self, demand: Demand, reason: str):
-        self.demand = demand
+    def __init__(self, flow: FlowRecord, reason: str):
+        self.flow = flow
         self.reason = reason  # "no_spectrum" | "no_feasible_mode"
-        super().__init__(f"{demand.src}->{demand.dst} {demand.rate_gbps}G: {reason}")
+        super().__init__(f"{flow.src}->{flow.dst} {flow.rate_gbps}G: {reason}")
 
 
 class NoSpectrum(Exception):
@@ -487,17 +487,17 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
     return limit
 
 
-def _candidate_routes(state: NetworkState, demand: Demand):
+def _candidate_routes(state: NetworkState, flow: FlowRecord):
     """A copy of the memoized :func:`_lazy_routes` over a bypass flow's
     candidate graph, which depends only on the topology, the edge shape
     (``intermediate_ip_grooming``), (src, dst), ``k`` and the penalty. Each
     ``topology._aux_memo`` entry, (longest hop of the k paths, routes), keeps
     the routes found so far in a tee that is never advanced; the graph itself
-    is built only for a flow that retries. Where the demand's
+    is built only for a flow that retries. Where the flow's
     :func:`_reach_limit` is below the longest hop, the edges within it are a
     graph of their own, memoized under the key plus the limit.
     """
-    src, dst = demand.src, demand.dst
+    src, dst = flow.src, flow.dst
     topo = state.topology
     memo = topo._aux_memo
 
@@ -514,22 +514,22 @@ def _candidate_routes(state: NetworkState, demand: Demand):
 
     key = (state.arch.intermediate_ip_grooming, src, dst, state.cfg.k, state._new_lp_penalty)
     longest, routes = entry(key)
-    limit = _reach_limit(state, demand.rate_gbps)
+    limit = _reach_limit(state, flow.rate_gbps)
     if limit < longest:
         _, routes = entry(key + (limit,), limit)
     return copy.copy(routes)
 
 
 def build_auxiliary_graph(state: NetworkState,
-                          demand: Demand) -> dict[tuple[str, str], list[AuxEdge]]:
-    """The grooming edges ``demand``'s flow may ride, keyed by (u, v) in fresh
-    lists, best first: the stored edges of ``state.groomable``'s buckets with
-    residual >= the demand's rate, every start node's (none under TrZR, which
+                          flow: FlowRecord) -> dict[tuple[str, str], list[AuxEdge]]:
+    """The grooming edges ``flow`` may ride, keyed by (u, v) in fresh lists,
+    best first: the stored edges of ``state.groomable``'s buckets with
+    residual >= the flow's rate, every start node's (none under TrZR, which
     keeps no index). Only OpIP's flows read it, to lay the edges over the hop
     graph; :func:`_try_groom_chain` reads the same buckets node by node."""
     edges: dict[tuple[str, str], list[AuxEdge]] = {}
     for residual, by_start in state.groomable.items():  # order is free: alternatives sort
-        if residual < demand.rate_gbps:
+        if residual < flow.rate_gbps:
             continue
         for u, bucket in by_start.items():
             for edge in bucket.values():
@@ -760,16 +760,15 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
     it drops an edge). A flow with no route blocks as "no_feasible_mode", one
     whose every route failed to place as "no_spectrum".
     """
-    demand = Demand(flow.src, flow.dst, flow.rate_gbps)
     arch = state.arch
     if arch.optical_bypass:
         if arch.intermediate_ip_grooming and _try_groom_chain(state, flow):
             return
-        routes = _candidate_routes(state, demand)
+        routes = _candidate_routes(state, flow)
     else:
         edges, adj = _hop_graph(state)
         edges, ours = dict(edges), dict(adj)
-        for key, alts in build_auxiliary_graph(state, demand).items():
+        for key, alts in build_auxiliary_graph(state, flow).items():
             # OpIP's lightpaths span one fiber, so the pair's hop edge, at
             # its length plus OPAQUE_HOP_WEIGHT, sorts after its grooming
             # edges, at GROOMING_WEIGHT_FACTOR times that length
@@ -788,7 +787,7 @@ def _route_flow(state: NetworkState, flow: FlowRecord) -> None:
             return
         except (NoSpectrum, NoFeasibleMode):
             failed = True
-    raise BlockedError(demand, "no_spectrum" if failed else "no_feasible_mode")
+    raise BlockedError(flow, "no_spectrum" if failed else "no_feasible_mode")
 
 
 def _subflow_rates(demand: Demand, state: NetworkState) -> list[int]:

@@ -184,7 +184,7 @@ class Topology:
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
 
 def read_json(source: str | Path, error: type[ValueError], what: str, builtins=()):
@@ -204,15 +204,14 @@ def read_json(source: str | Path, error: type[ValueError], what: str, builtins=(
         raise error(f"{what} {name}: invalid JSON: {exc}") from exc
 
 
-def parse_topology(source: str | dict) -> Topology:
-    """Parse and validate a topology from a JSON string or an already-decoded dict."""
-    if isinstance(source, str):
-        try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise TopologyError(f"invalid JSON: {exc}") from exc
-    else:
-        doc = source
+def json_text(doc) -> str:
+    """The text every JSON report is written as: keys sorted, two-space
+    indent, one closing newline, so equal documents give equal bytes."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def parse_topology(doc: dict) -> Topology:
+    """Validate a decoded topology document (see :func:`read_json`)."""
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
     for key in ("name", "nodes", "links"):
@@ -255,11 +254,6 @@ def _parse_link(i: int, entry) -> Link:
     if isinstance(length, bool) or not isinstance(length, (int, float)):
         raise TopologyError(f"link #{i} field 'length_km' must be a number, got {length!r}")
     return Link(entry["a"], entry["b"], float(length))
-
-
-def load_topology(path: str | Path) -> Topology:
-    """A topology from a UTF-8 JSON file; raises TopologyError."""
-    return parse_topology(read_json(path, TopologyError, "topology"))
 
 
 def load_named_topology(name_or_path: str) -> Topology:

@@ -48,6 +48,7 @@ class TrafficScenario:
             raise TrafficError(
                 f"weights of {self.name!r} sum to {sum(self.weights)}, expected 1"
             )
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
 
 @dataclass(frozen=True)
@@ -93,14 +94,10 @@ def scenario_from_dict(doc: dict) -> TrafficScenario:
     if not isinstance(raw, dict):
         raise TrafficError("scenario field 'weights' must be an object of rate -> weight")
     classes = [str(r) for r in RATE_CLASSES]
-    for key, weight in raw.items():
+    for key in raw:
         if key not in classes:
             raise TrafficError(f"scenario weight key {key!r} is not a rate class {RATE_CLASSES}")
-        numeric = isinstance(weight, (int, float)) and not isinstance(weight, bool)
-        if not (numeric and math.isfinite(weight)):
-            raise TrafficError(f"scenario weight {key!r} must be a finite number, got {weight!r}")
-    weights = tuple(float(raw.get(r, 0.0)) for r in classes)
-    return TrafficScenario(doc["name"], weights)
+    return TrafficScenario(doc["name"], tuple(raw.get(r, 0.0) for r in classes))
 
 
 def load_scenario(name_or_path: str | Path) -> TrafficScenario:

@@ -45,10 +45,18 @@ MALFORMED_INPUTS = [
 
 def _cli_env():
     """The environment of a CLI subprocess: no inherited Python or locale
-    settings, and this ipowdm on the path."""
+    settings, this ipowdm on the path, and no bytecode written into it, so
+    that running the tests leaves the source tree as it was."""
     env = {k: v for k, v in os.environ.items() if not k.startswith(("PYTHON", "LC_", "LANG"))}
     env["PYTHONPATH"] = str(Path(ipowdm.__file__).parents[1])
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     return env
+
+
+def test_cli_subprocesses_write_no_bytecode():
+    done = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+                          env=_cli_env(), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
 
 
 @pytest.fixture()
@@ -122,7 +130,12 @@ class TestReporting:
             rows_from_csv(",".join(CSV_COLUMNS) + "\n1,2\n")
 
     @pytest.mark.parametrize("column, value, kind", [
-        ("zr_count", "abc", "int"), ("seed", "1.5", "int"), ("power_total", "x", "float")])
+        ("zr_count", "abc", "int"), ("seed", "1.5", "int"), ("power_total", "x", "float"),
+        # a mean over such rows would be nan or inf, or a saving past 100%
+        ("power_total", "nan", "finite non-negative float"),
+        ("power_zr", "inf", "finite non-negative float"),
+        ("module_cost", "-0.5", "finite non-negative float"),
+        ("blocked", "-1", "finite non-negative int")])
     def test_csv_bad_value_names_row_and_column(self, column, value, kind):
         good = ["j14", "TrIP", "TS1", "0"] + ["1"] * (len(CSV_COLUMNS) - 4)
         bad = [value if c == column else v for c, v in zip(CSV_COLUMNS, good)]
@@ -130,6 +143,12 @@ class TestReporting:
         with pytest.raises(ValueError) as exc:
             rows_from_csv(text)
         assert str(exc.value) == f"CSV row 2 column {column!r}: expected {kind}, got {value!r}"
+
+    def test_csv_seed_may_be_negative(self):
+        # `--seed -1` is a valid run, so its rows read back
+        row = ["j14", "TrIP", "TS1", "-1"] + ["0"] * (len(CSV_COLUMNS) - 4)
+        (back,) = rows_from_csv("\n".join(",".join(r) for r in (CSV_COLUMNS, row)) + "\n")
+        assert back.seed == -1 and back.power_total == 0.0
 
     def test_average_rows_means(self):
         rows = run_experiment(

@@ -887,6 +887,37 @@ def test_provisioning_invariants(seed, arch):
                     assert rate == f.rate_gbps
 
 
+# a 150G mode, which is no traffic class: the IP-regenerating architectures
+# split long demands into 150G and 50G sub-flows, and TrZR opens 150G channels
+ODD_RATE = (
+    TransceiverMode("ZR", "16QAM", 120, 400, 1.0, 1.0),
+    TransceiverMode("ZR+", "16QAM", 600, 400, 1.3, 2.0),
+    TransceiverMode("ZR+", "QPSK", 3000, 150, 1.3, 2.0),
+)
+
+
+@pytest.mark.parametrize("arch", ARCH_NAMES)
+def test_catalog_rates_outside_the_traffic_classes_plan(arch):
+    flow_rates, lp_rates = set(), set()
+    for name in ("j14", "g17"):
+        topo = load_named_topology(name)
+        for scenario in ("TS1", "TS3"):
+            m = generate_traffic(topo, load_scenario(scenario), 0)
+            state = provision_all(topo, m, arch, PlannerConfig(), ODD_RATE)  # audits
+            blocked = {d.key for d, _ in state.blocked}
+            assert not blocked & state.records.keys()
+            for demand in m.demands:
+                if demand.key not in blocked:
+                    flows = state.records[demand.key]
+                    assert sum(f.rate_gbps for f in flows) == demand.rate_gbps
+                    flow_rates |= {f.rate_gbps for f in flows}
+            lp_rates |= {lp.mode.rate_gbps for lp in state.lightpaths.values()}
+    if ARCHITECTURES[arch].ip_regeneration:
+        assert {50, 150} <= flow_rates
+    if ARCHITECTURES[arch].optical_bypass:
+        assert 150 in lp_rates
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 10_000), st.sampled_from([1, 2]))
 def test_audit_holds_under_blocking_and_undo(seed, channels):

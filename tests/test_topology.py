@@ -18,7 +18,6 @@ from ipowdm.topology import (
     k_shortest_paths,
     lexicographic_dijkstra,
     load_named_topology,
-    load_topology,
     parse_topology,
 )
 
@@ -83,8 +82,13 @@ class TestValidation:
         with pytest.raises(TopologyError, match="missing required field"):
             parse_topology({"name": "t", "nodes": ["a"]})
 
-    def test_invalid_json_rejected(self):
-        with pytest.raises(TopologyError, match="invalid JSON"):
+    def test_invalid_json_rejected(self, tmp_path):
+        path = tmp_path / "nope.json"
+        path.write_text("{nope")
+        with pytest.raises(TopologyError, match=f"topology {path}: invalid JSON"):
+            load_named_topology(str(path))
+        # the parser takes decoded documents only: JSON text is not one
+        with pytest.raises(TopologyError, match="must be a JSON object"):
             parse_topology("{nope")
 
     def test_link_missing_field_named(self):
@@ -161,15 +165,15 @@ class TestAccessors:
 class TestSerialization:
     def test_round_trip_identity(self):
         raw = mk_topo("rt", [("a", "b", 10), ("b", "c", 20), ("a", "c", 15)])
-        once = parse_topology(raw.to_json())
-        twice = parse_topology(once.to_json())
+        once = parse_topology(json.loads(raw.to_json()))
+        twice = parse_topology(json.loads(once.to_json()))
         assert once == twice
         assert once.to_json() == raw.to_json()
 
     def test_load_topology_file(self, tmp_path):
         path = tmp_path / "net.json"
         path.write_text(TRIANGLE.to_json())
-        assert load_topology(path).to_json() == TRIANGLE.to_json()
+        assert load_named_topology(str(path)).to_json() == TRIANGLE.to_json()
 
     def test_to_dict_links_sorted(self):
         d = mk_topo("s", [("b", "c", 1), ("a", "b", 1)]).to_dict()
@@ -227,10 +231,10 @@ class TestShortestPaths:
                 k_shortest_paths(topo, src, dst, k)
 
     def test_memo_does_not_change_equality_or_hash(self):
-        warm = parse_topology(TRIANGLE.to_json())
+        warm = parse_topology(json.loads(TRIANGLE.to_json()))
         k_shortest_paths(warm, "A", "C", 3)
         assert warm._ksp_memo and warm._spt_memo  # both memos are warm
-        fresh = parse_topology(TRIANGLE.to_json())
+        fresh = parse_topology(json.loads(TRIANGLE.to_json()))
         assert warm == fresh
         assert hash(warm) == hash(fresh)
         assert repr(warm) == repr(fresh)

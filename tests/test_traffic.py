@@ -62,6 +62,13 @@ class TestScenario:
         with pytest.raises(TrafficError, match="sum"):
             TrafficScenario("x", (0.5, 0.1, 0.1, 0.1, 0.1, 0.05))
 
+    def test_whole_number_weights_stored_as_floats(self, tmp_path):
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps({"name": "top", "weights": {"600": 1}}))
+        for sc in (load_scenario(path), TrafficScenario("top", [0, 0, 0, 0, 0, 1])):
+            assert sc.weights == (0.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+            assert all(type(w) is float for w in sc.weights)
+
     def test_scenario_file_loading(self, tmp_path):
         doc = {"name": "flat", "weights": {str(r): 1 / 6 for r in RATE_CLASSES}}
         path = tmp_path / "flat.json"
@@ -80,10 +87,11 @@ class TestScenario:
         ({"name": "x", "weights": {"100": 0.5, "200": 0.5, "250": 7}},
          r"weight key '250' is not a rate class"),
         ({"name": "x", "weights": {"100": "0.5", "200": 0.5}},
-         "weight '100' must be a finite number, got '0.5'"),
-        ({"name": "x", "weights": {"100": True}}, "weight '100' must be a finite number"),
+         "weight of rate 100 in scenario 'x' must be a finite number, got '0.5'"),
+        ({"name": "x", "weights": {"100": True}},
+         "weight of rate 100 in scenario 'x' must be a finite number, got True"),
         ({"name": "x", "weights": {"100": math.nan, "200": 1.0}},
-         "weight '100' must be a finite number"),
+         "weight of rate 100 in scenario 'x' must be a finite number, got nan"),
     ], ids=["weights-missing", "weights-list", "name-missing", "name-null", "name-number",
             "document-type",
             "weight-key", "weight-string", "weight-bool", "weight-nan"])
