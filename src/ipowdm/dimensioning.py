@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .rmsa import NetworkState
-from .topology import read_json
+from .topology import is_finite_number, read_json
 
 
 class PowerConfigError(ValueError):
@@ -43,8 +43,7 @@ class PowerTable:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value) or value < 0):
+            if not is_finite_number(value) or value < 0:
                 raise PowerConfigError(f"power entry {f.name} must be a finite number "
                                        f">= 0, got {value!r}")
 

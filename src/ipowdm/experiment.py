@@ -191,6 +191,7 @@ def rows_from_csv(text: str) -> list[RunResult]:
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header: {header}")
     out = []
+    runs: dict[tuple, int] = {}  # (topology, arch, scenario, seed) -> row number
     for n, rec in enumerate(records[1:], start=1):
         if len(rec) != len(CSV_COLUMNS):
             raise ValueError(
@@ -207,7 +208,13 @@ def rows_from_csv(text: str) -> list[RunResult]:
             if x is None or (column in _NUMERIC and not 0 <= x < math.inf):
                 need = kind.__name__ if x is None else f"finite non-negative {kind.__name__}"
                 raise ValueError(f"CSV row {n} column {column!r}: expected {need}, got {value!r}")
-        out.append(RunResult(**values))
+        row = RunResult(**values)
+        # a repeated run would weigh double in its cell's means
+        first = runs.setdefault((row.topology, row.arch, row.scenario, row.seed), n)
+        if first != n:
+            raise ValueError(f"CSV rows {first} and {n} both hold run "
+                             f"{row.topology}/{row.arch}/{row.scenario} seed {row.seed}")
+        out.append(row)
     return out
 
 

@@ -36,12 +36,13 @@ between its endpoints, so TrZR only opens new lightpaths.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import pairwise, tee
 from typing import NamedTuple
 
-from .topology import Topology, k_shortest_paths, lexicographic_dijkstra
+from .topology import Topology, _yen, k_shortest_paths, lexicographic_dijkstra, tied_nodes
 from .transceiver import (
     DEFAULT_CATALOG,
     NoFeasibleMode,
@@ -404,13 +405,17 @@ def _candidate_graph(paths, lengths, whole: bool, penalty: float, limit: float, 
     return edges, _adjacency(edges)
 
 
-def _lazy_routes(paths, lengths, whole: bool, penalty: float, limit: float, intern: dict):
-    """The :func:`_routes` over the :func:`_candidate_graph` of these
-    arguments, with the graph built only when a flow asks for a second route.
-    The first route is read off ``paths`` wherever the search is known to
-    take the best whole-path edge within ``limit`` (see below); the search
-    replayed for the second must agree, or AssertionError is raised. Only
-    plain data is held, no topology or state, which would make a cycle
+def _lazy_routes(adj, first, strict: bool, k: int, whole: bool, penalty: float,
+                 limit: float, intern: dict):
+    """The :func:`_routes` over the :func:`_candidate_graph` of the k shortest
+    paths over ``adj`` from ``first``, the shortest one, with the graph built
+    only when a flow asks for a second route. The first route is the best
+    whole-path edge within ``limit`` wherever the search is known to take it
+    (see below). Where ``first`` is ``strict``ly shortest and within
+    ``limit``, that edge is its own, and Yen's k paths wait for a second
+    route too; otherwise Yen runs at once. The search replayed for the
+    second route must agree with the first, or AssertionError is raised.
+    Only plain data is held, no topology or state, which would make a cycle
     through the topology's ``_aux_memo`` that reference counting cannot
     free."""
     # Why the best whole-path edge W is the first route. Under TrZR every
@@ -425,9 +430,23 @@ def _lazy_routes(paths, lengths, whole: bool, penalty: float, limit: float, inte
     # few ulps per hop, so a penalty above 1e-9 of W's weight keeps the gap;
     # with a zero penalty (every cost_units 0) a split of W's path ties W and
     # wins on node order.
-    src, dst = paths[0][0], paths[0][-1]
+    #
+    # Why W is the first path P1's own edge when P1 is strict, that is when
+    # no node of P1[1:] is in topology.tied_nodes. Let Q != P1 be a simple
+    # src -> dst path, v the first node of Q's and P1's longest common
+    # suffix (not src, as both paths are simple and differ) and u != parent(v)
+    # its predecessor on Q. As v is not tied, d(u) + w(u, v) > d(v) + tol, so
+    # len(Q) >= d(u) + w(u, v) + len(P1 from v) > len(P1) + tol. tol is far
+    # above the rounding of any left-to-right sum over the topology (at most
+    # about n * 2**-53 times the sum of the link lengths), so P1 outweighs
+    # none of Yen's other paths, whether they are compared by Yen's totals or
+    # by left-to-right km, and its edge is the lightest whole-path edge.
+    src, dst = first[0], first[-1]
+    # Yen's paths wait for a second route wherever the first is known without them
+    paths = None if strict and max(_hop_lengths(adj, first)) <= limit else _yen(adj, first, k)
     best = None
-    for p, hops in zip(paths, lengths):
+    for p in paths or (first,):
+        hops = _hop_lengths(adj, p)
         if max(hops) <= limit:
             km = 0.0
             for hop in hops:
@@ -435,15 +454,22 @@ def _lazy_routes(paths, lengths, whole: bool, penalty: float, limit: float, inte
             edge = AuxEdge(km + penalty, _NEW, -1, p, src, dst)
             if best is None or edge < best:
                 best = edge
-    first = None
+    route = None
     if best is not None and (whole or penalty > 1e-9 * best.weight):
-        first = [intern.setdefault(best, best)]
-        yield first
+        route = [intern.setdefault(best, best)]
+        yield route
+    if paths is None:
+        paths = _yen(adj, first, k)
+    lengths = [_hop_lengths(adj, p) for p in paths]
     # the graph is not bound here, so a retry's copy (see _routes) is the one kept
     routes = _routes(*_candidate_graph(paths, lengths, whole, penalty, limit, intern), src, dst)
-    if first is not None and next(routes, None) != first:
-        raise AssertionError(f"{src}->{dst}: the search's first route is not {first}")
+    if route is not None and next(routes, None) != route:
+        raise AssertionError(f"{src}->{dst}: the search's first route is not {route}")
     yield from routes
+
+
+def _hop_lengths(adj, path) -> list[float]:
+    return [adj[u][v] for u, v in pairwise(path)]
 
 
 def _routes(edges, adj, src, dst):
@@ -474,8 +500,9 @@ def _routes(edges, adj, src, dst):
 def _reach_limit(state: NetworkState, rate: int) -> float:
     """Longest hop a new lightpath may span for a ``rate`` flow, computed
     once per state and rate: the largest reach of a mode whose rate is at
-    least the floor. Under intermediate grooming (subpath edges, one channel
-    each) the floor is the rate capped at the catalog's top rate; under TrZR
+    least the floor, or infinity where that spans the topology's longest
+    link. Under intermediate grooming (subpath edges, one channel each) the
+    floor is the rate capped at the catalog's top rate; under TrZR
     (end-to-end edges, split over channels) it is 0, so every mode counts."""
     limit = state._reach_limits.get(rate)
     if limit is None:
@@ -483,6 +510,8 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
         floor = (min(rate, max(m.rate_gbps for m in catalog))
                  if state.arch.intermediate_ip_grooming else 0)
         limit = max(m.reach_km for m in catalog if m.rate_gbps >= floor)
+        if limit >= max(link.length_km for link in state.topology.links):
+            limit = math.inf  # no hop is beyond it
         state._reach_limits[rate] = limit
     return limit
 
@@ -490,33 +519,26 @@ def _reach_limit(state: NetworkState, rate: int) -> float:
 def _candidate_routes(state: NetworkState, flow: FlowRecord):
     """A copy of the memoized :func:`_lazy_routes` over a bypass flow's
     candidate graph, which depends only on the topology, the edge shape
-    (``intermediate_ip_grooming``), (src, dst), ``k`` and the penalty. Each
-    ``topology._aux_memo`` entry, (longest hop of the k paths, routes), keeps
-    the routes found so far in a tee that is never advanced; the graph itself
-    is built only for a flow that retries. Where the flow's
-    :func:`_reach_limit` is below the longest hop, the edges within it are a
-    graph of their own, memoized under the key plus the limit.
+    (``intermediate_ip_grooming``), (src, dst), ``k``, the penalty and the
+    flow's :func:`_reach_limit`; a finite limit extends the memo key. Each
+    ``topology._aux_memo`` entry keeps the routes found so far in a tee that
+    is never advanced. A miss reads the pair's shortest path and whether it
+    is strictly shortest off the source's tree (``topology.tied_nodes``).
     """
     src, dst = flow.src, flow.dst
     topo = state.topology
-    memo = topo._aux_memo
-
-    def entry(key, limit=float("inf")):
-        found = memo.get(key)
-        if found is None:
-            paths = k_shortest_paths(topo, src, dst, state.cfg.k)
-            lengths = [topo.path_link_lengths(p) for p in paths]
-            longest = max(max(hops) for hops in lengths)
-            routes = _lazy_routes(paths, lengths, not state.arch.intermediate_ip_grooming,
-                                  state._new_lp_penalty, limit, topo._aux_intern)
-            found = memo[key] = longest, tee(routes, 1)[0]
-        return found
-
-    key = (state.arch.intermediate_ip_grooming, src, dst, state.cfg.k, state._new_lp_penalty)
-    longest, routes = entry(key)
     limit = _reach_limit(state, flow.rate_gbps)
-    if limit < longest:
-        _, routes = entry(key + (limit,), limit)
+    key = (state.arch.intermediate_ip_grooming, src, dst, state.cfg.k, state._new_lp_penalty)
+    if limit < math.inf:
+        key += (limit,)
+    routes = topo._aux_memo.get(key)
+    if routes is None:
+        (first,) = k_shortest_paths(topo, src, dst, 1)
+        strict = tied_nodes(topo, src).isdisjoint(first[1:])
+        routes = _lazy_routes(topo._adj, first, strict, state.cfg.k,
+                              not state.arch.intermediate_ip_grooming,
+                              state._new_lp_penalty, limit, topo._aux_intern)
+        routes = topo._aux_memo[key] = tee(routes, 1)[0]
     return copy.copy(routes)
 
 

@@ -79,14 +79,15 @@ class Topology:
     """Validated, immutable physical topology. Safe to share across runs.
 
     ``k_shortest_paths`` memoizes its results on the instance (``_ksp_memo``)
-    together with one shortest-path tree per source (``_spt_memo``); a miss
-    with k >= 2 fills the entries of every target of its source. So does the
-    planner's new-lightpath graph build (``_aux_memo``, whose edges, keys and
-    alternative tuples are interned in ``_aux_intern``): one entry holds
-    OpIP's hop-by-hop graph and its adjacency, and each bypass entry the
-    longest hop of a candidate graph and the routes found so far, retries
-    included; the first route is read off the k paths, and the graph is
-    built only when a flow retries. ``_plan_memo`` maps a catalog (as a
+    together with one shortest-path tree per source (``_spt_memo``), and
+    ``tied_nodes`` the nodes of each tree that two near-shortest ways reach
+    (``_tie_memo``). So does the planner's new-lightpath graph build
+    (``_aux_memo``, whose edges, keys and alternative tuples are interned in
+    ``_aux_intern``): one entry holds OpIP's hop-by-hop graph and its
+    adjacency, and each bypass entry the routes found so far, retries
+    included; a strictly shortest path's first route is read off its
+    source's tree, and Yen's k paths and the graph are computed only for a
+    tied pair or a flow that retries. ``_plan_memo`` maps a catalog (as a
     tuple) to the realization plans of IP-regenerated candidate edges, per
     (subpath, rate): each lightpath's route, mode, length and segments, or the
     failure to find a mode (see ``rmsa._realize_candidate_edge``). Every run
@@ -101,6 +102,7 @@ class Topology:
     _adj: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tie_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plan_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -204,6 +206,18 @@ def read_json(source: str | Path, error: type[ValueError], what: str, builtins=(
         raise error(f"{what} {name}: invalid JSON: {exc}") from exc
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, that is finite as a
+    float: NaN, the infinities and an int too large for a float (which JSON
+    allows and ``float()`` refuses with OverflowError) are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def json_text(doc) -> str:
     """The text every JSON report is written as: keys sorted, two-space
     indent, one closing newline, so equal documents give equal bytes."""
@@ -253,6 +267,8 @@ def _parse_link(i: int, entry) -> Link:
     length = entry["length_km"]
     if isinstance(length, bool) or not isinstance(length, (int, float)):
         raise TopologyError(f"link #{i} field 'length_km' must be a number, got {length!r}")
+    if isinstance(length, int) and not is_finite_number(length):
+        raise TopologyError(f"link #{i} field 'length_km' must be a finite number, got {length!r}")
     return Link(entry["a"], entry["b"], float(length))
 
 
@@ -300,17 +316,15 @@ def k_shortest_paths(
     topo: Topology, src: str, dst: str, k: int
 ) -> tuple[tuple[str, ...], ...]:
     """Up to k loop-free paths, ascending (length, lexicographic), by Yen's
-    algorithm with Lawler's deviation-index skip.
+    algorithm with Lawler's deviation-index skip (see :func:`_yen`).
 
     The first path is read off the source's shortest-path tree (a search
     without a target, memoized on ``topo`` per source), so ``k=1`` runs no
     spur search. Results are memoized on ``topo`` per (src, dst, k) and
-    returned as the memo's own immutable tuples. A miss with ``k >= 2`` runs
-    Yen from ``src`` to every other node in one pass and fills each
-    (src, t, k) entry not yet held, so each spur search serves every target
-    that asks for it (see :func:`_yen`). ``k`` must be an int on every
-    call, as ``True`` and ``2.0`` would hit the entries of 1 and 2; the other
-    arguments are checked on a miss only, as bad ones never enter the memo.
+    returned as the memo's own immutable tuples. ``k`` must be an int on
+    every call, as ``True`` and ``2.0`` would hit the entries of 1 and 2; the
+    other arguments are checked on a miss only, as bad ones never enter the
+    memo.
     """
     if k.__class__ is not int and (isinstance(k, bool) or not isinstance(k, int)):
         raise TopologyError(f"k must be an integer, got {k!r}")
@@ -323,50 +337,62 @@ def k_shortest_paths(
             raise TopologyError("source and destination must differ")
         if k < 1:
             raise TopologyError(f"k must be >= 1, got {k}")
-        tree = topo._spt_memo.get(src)
-        if tree is None:
-            tree = topo._spt_memo[src] = lexicographic_dijkstra(topo._adj, src, None)
-        if k == 1:
-            topo._ksp_memo[key] = (tree[dst][1],)
-        else:  # one pass from src, sharing spur trees across its targets
-            spurs: dict = {}
-            for t in topo.nodes:
-                if t != src and (src, t, k) not in topo._ksp_memo:
-                    topo._ksp_memo[src, t, k] = _yen(topo, tree[t], t, k, spurs)
-        paths = topo._ksp_memo[key]
+        first = _tree(topo, src)[dst][1]
+        paths = topo._ksp_memo[key] = (first,) if k == 1 else _yen(topo._adj, first, k)
     return paths
 
 
-def _yen(topo: Topology, first, dst: str, k: int, spurs: dict) -> tuple[tuple[str, ...], ...]:
-    """Yen's k shortest paths to ``dst`` from the shortest one, ``first`` as
-    (dist, path), each spurred only from the index where it left its parent
-    (Lawler): a spur below that index repeats the search an earlier path with
-    the same root made, so it adds no candidate. A total is the root's length
-    summed left to right, as ``path_length_km`` sums, plus the spur's length,
-    so it does not depend on the skip.
+def _tree(topo: Topology, src: str) -> dict:
+    """``src``'s shortest-path tree, {node: (dist, path)}, memoized on ``topo``."""
+    tree = topo._spt_memo.get(src)
+    if tree is None:
+        tree = topo._spt_memo[src] = lexicographic_dijkstra(topo._adj, src, None)
+    return tree
 
-    A spur search depends on its root path and removed edges, not on the
-    target, so it runs without one and its tree is kept in ``spurs`` under
-    (root, removed edges) for the other targets of the source's pass. A
-    tree's entry for a node is what a search stopped there returns (see
-    :func:`lexicographic_dijkstra`), so each list is plain Yen's, bit for
-    bit."""
-    adj = topo._adj
+
+def tied_nodes(topo: Topology, src: str) -> frozenset[str]:
+    """The nodes v of ``src``'s shortest-path tree that two or more
+    neighbours u reach within a tolerance of v's distance d(v):
+    ``d(u) + w(u, v) <= d(v) + tol``, where ``tol`` is 1e-9 of the sum of
+    the link lengths, far above the rounding of any float sum over the
+    topology. The tree parent always counts, as d(v) is its sum. A path of
+    the tree that passes no such node after ``src`` is shorter than every
+    other simple path by more than ``tol`` (see ``rmsa._lazy_routes``).
+    Memoized on ``topo`` per source (``_tie_memo``)."""
+    tied = topo._tie_memo.get(src)
+    if tied is None:
+        tree = _tree(topo, src)
+        tol = 1e-9 * sum(link.length_km for link in topo.links)
+        tied = topo._tie_memo[src] = frozenset(
+            v for v, nbrs in topo._adj.items()
+            if sum(tree[u][0] + w <= tree[v][0] + tol for u, w in nbrs.items()) > 1)
+    return tied
+
+
+def _yen(adj, first: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:
+    """Yen's k shortest paths over ``adj`` (node -> {neighbour: length}) from
+    the shortest one, ``first``, to its last node, each spurred only from the
+    index where it left its parent (Lawler): a spur below that index repeats
+    the search an earlier path with the same root made, so it adds no
+    candidate. A total is the root's length summed left to right, as
+    ``Topology.path_length_km`` sums, plus the spur's length, so it does not
+    depend on the skip. Each spur search stops at the target, as plain Yen's
+    does. Reads only ``adj``, so route generators that hold no topology can
+    call it."""
+    dst = first[-1]
+    accepted = [(first, 0)]  # (path, deviation index)
     # (total, path, deviation index); paths are unique, so the index never decides
-    accepted = [(*first, 0)]
     candidates: list[tuple[float, tuple[str, ...], int]] = []
-    seen = {first[1]}
+    seen = {first}
     while len(accepted) < k:
-        _, prev_path, deviation = accepted[-1]
-        root_len = topo.path_length_km(prev_path[: deviation + 1])
+        prev_path, deviation = accepted[-1]
+        root_len = 0.0
+        for i in range(deviation):
+            root_len += adj[prev_path[i]][prev_path[i + 1]]
         for i in range(deviation, len(prev_path) - 1):
             root = prev_path[: i + 1]
-            removed_edges = frozenset(p[i:i + 2] for _, p, _ in accepted if p[: i + 1] == root)
-            spur = spurs.get((root, removed_edges))
-            if spur is None:
-                spur = spurs[root, removed_edges] = lexicographic_dijkstra(
-                    adj, root[-1], None, root[:-1], removed_edges)
-            res = spur.get(dst)
+            removed_edges = {p[i:i + 2] for p, _ in accepted if p[: i + 1] == root}
+            res = lexicographic_dijkstra(adj, root[-1], dst, root[:-1], removed_edges)
             if res is not None:
                 spur_len, spur_path = res
                 full = root[:-1] + spur_path
@@ -376,5 +402,6 @@ def _yen(topo: Topology, first, dst: str, k: int, spurs: dict) -> tuple[tuple[st
             root_len += adj[root[-1]][prev_path[i + 1]]
         if not candidates:
             break
-        accepted.append(heappop(candidates))
-    return tuple(p for _, p, _ in accepted)
+        _, path, deviation = heappop(candidates)
+        accepted.append((path, deviation))
+    return tuple(p for p, _ in accepted)

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .topology import Topology, read_json
+from .topology import Topology, is_finite_number, read_json
 
 RATE_CLASSES: tuple[int, ...] = (100, 200, 300, 400, 500, 600)
 BUILTIN_SCENARIOS = ("TS1", "TS2", "TS3")
@@ -39,7 +38,7 @@ class TrafficScenario:
             )
         for rate, w in zip(RATE_CLASSES, self.weights):
             # NaN passes both checks below, and every draw then takes the top rate
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+            if not is_finite_number(w):
                 raise TrafficError(f"weight of rate {rate} in scenario {self.name!r} "
                                    f"must be a finite number, got {w!r}")
         if any(w < 0 for w in self.weights):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .topology import read_json
+from .topology import is_finite_number, read_json
 
 MODULES = ("ZR", "ZR+")
 
@@ -54,6 +54,8 @@ class TransceiverMode:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise CatalogError(f"{name} must be a number, got {value!r} {where}")
+            if isinstance(value, int) and not is_finite_number(value):
+                raise CatalogError(f"{name} must be a finite number, got {value!r} {where}")
         for name in ("reach_km", "rate_gbps"):
             value = getattr(self, name)
             if not value > 0:

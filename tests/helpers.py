@@ -20,6 +20,21 @@ def mk_topo(name, links, channels=10):
     )
 
 
+# link lengths from few distinct values, so many paths tie on length
+TIE_WEIGHTS = [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3, 0.7)]
+
+
+def random_topology(seed, weights):
+    """A random connected topology of 4-9 nodes with link lengths drawn from
+    ``weights``: a random spanning tree plus each other pair with odds 1/2."""
+    rng = random.Random(seed)
+    nodes = [f"v{i}" for i in range(rng.randint(4, 9))]
+    links = {(nodes[rng.randrange(i)], nodes[i]) for i in range(1, len(nodes))}
+    links |= {pair for pair in itertools.combinations(nodes, 2)
+              if pair not in links and rng.random() < 0.5}
+    return mk_topo(f"r{seed}", [(a, b, rng.choice(weights)) for a, b in sorted(links)])
+
+
 def set_claim(state, fiber, channel, claimed):
     """Set or clear ``channel``'s bit in ``fiber``'s stored mask, behind the
     back of ``NetworkState.add`` / ``remove``."""

@@ -54,6 +54,8 @@ class TestPowerTable:
             ({"power": {"zr": "1"}}, "power entry zr must be a finite number >= 0, got '1'"),
             ({"power": {"awg": True}}, "power entry awg must be a finite number >= 0"),
             ({"power": {"oa_unidir": 1e999}}, "power entry oa_unidir must be a finite number"),
+            # an int too large for a float, which float() refuses with OverflowError
+            ({"power": {"zr": 10**400}}, "power entry zr must be a finite number >= 0, got 1000"),
             ({"dimensioning": {"adb_capacity": 0}},
              "dimensioning entry adb_capacity must be an int >= 1, got 0"),
             ({"dimensioning": {"shelf_slot_capacity": 2.5}},
@@ -63,7 +65,7 @@ class TestPowerTable:
              "dimensioning entry iroadm_slots must be an int >= 0"),
         ],
         ids=["power-key", "dimensioning-key", "section-type", "section-name", "document-type",
-             "power-string", "power-bool", "power-inf",
+             "power-string", "power-bool", "power-inf", "power-huge",
              "capacity-zero", "capacity-float", "slots-negative", "slots-bool"],
     )
     def test_config_file_unknown_entry_named(self, tmp_path, doc, message):

@@ -128,6 +128,12 @@ class TestReporting:
             rows_from_csv("nope,nope\n1,2\n")
         with pytest.raises(ValueError, match="row 1 has 2 fields"):
             rows_from_csv(",".join(CSV_COLUMNS) + "\n1,2\n")
+        # a run repeated, whatever its values, would count twice in its means
+        rows = [["j14", "TrIP", "TS1", seed] + [value] * (len(CSV_COLUMNS) - 4)
+                for seed, value in (("0", "1"), ("1", "1"), ("0", "2"))]
+        text = "\n".join(",".join(r) for r in (CSV_COLUMNS, *rows)) + "\n"
+        with pytest.raises(ValueError, match="^CSV rows 1 and 3 both hold run j14/TrIP/TS1 seed 0$"):
+            rows_from_csv(text)
 
     @pytest.mark.parametrize("column, value, kind", [
         ("zr_count", "abc", "int"), ("seed", "1.5", "int"), ("power_total", "x", "float"),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_engine
-from helpers import mk_topo, set_claim, toy_instance
+from helpers import TIE_WEIGHTS, mk_topo, random_topology, set_claim, toy_instance
 from ipowdm import rmsa, topology
 from ipowdm.dimensioning import network_cost
 from ipowdm.rmsa import (
@@ -575,16 +575,19 @@ class TestCandidateMemo:
         short = subpaths(SHORT_REACH)
         entries = len(topo._aux_memo)
         assert ("a", "b") not in short and ("a", "d", "b") in short
-        # the default catalog reuses the entry and keeps the 800 km hop where
-        # a mode reaches it: TrZR's 3000 km modes, not the 400G ones
+        # the default catalog keeps the 800 km hop where a mode reaches it:
+        # TrZR's 3000 km modes, which span every link, so TrZR adds the
+        # entry with no limit; the 400G flows reuse the entry of their
+        # 600 km limit, which is both catalogs' 400G reach
         assert (("a", "b") in subpaths(DEFAULT_CATALOG)) == (arch == "TrZR")
-        assert len(topo._aux_memo) == entries
+        assert len(topo._aux_memo) == entries + (arch == "TrZR")
 
     def test_first_route_memo_keys_on_the_reach_limit(self):
         # no mode reaches the 1000 km link; the 650 km hops of a-c-b are
         # beyond SHORT_REACH's 400G reach but within its 200G one, so one
         # demand's 400G and 100G sub-flows take different first routes, each
-        # memoized with its graph under the key plus its limit
+        # memoized under the key plus its limit; with no hop within every
+        # limit, no entry is keyed without one
         topo = mk_topo("t", [("a", "b", 1000), ("a", "c", 650), ("c", "b", 650),
                              ("a", "d", 500), ("d", "e", 500), ("e", "b", 500)])
         state = NetworkState(topo, "TrIP", PlannerConfig(), SHORT_REACH)
@@ -593,8 +596,8 @@ class TestCandidateMemo:
                 for f in flows} == {400: [("a", "d"), ("d", "e"), ("e", "b")],
                                     100: [("a", "c"), ("c", "b")]}
         first = {key[5:]: next(copy.copy(routes))[0].subpath
-                 for key, (*_, routes) in topo._aux_memo.items()}
-        assert first == {(): ("a", "b"), (600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
+                 for key, routes in topo._aux_memo.items()}
+        assert first == {(600,): ("a", "d", "e", "b"), (700,): ("a", "c", "b")}
 
     def test_zero_penalty_split_wins_the_tie_with_the_whole_path(self):
         # a-c weighs 0.1 + 0.2 whole and split alike when no new lightpath
@@ -604,7 +607,7 @@ class TestCandidateMemo:
         state = NetworkState(topo, "TrIP", PlannerConfig(), FREE)
         demand = Demand("a", "c", 100)
         route_demand(state, demand)
-        ((_, routes),) = topo._aux_memo.values()
+        (routes,) = topo._aux_memo.values()
         first = next(copy.copy(routes))
         assert [e.subpath for e in first] == [("a", "b"), ("b", "c")]
         (whole,) = candidate_graph(state, demand)[0][("a", "c")]
@@ -630,8 +633,10 @@ class TestCandidateMemo:
         # the first route, read off the paths, sums the same way
         assert routes[0] == [edges[("a", "d")][0]]
         assert routes[0][0].weight == 208.95999999999998 + 2.0
-        ((longest, _),) = topo._aux_memo.values()  # no mode's reach drops a hop
-        assert longest == 100.1
+        # every mode reaches the longest link, 100.1 km, so the one entry
+        # is keyed with no limit
+        (key,) = topo._aux_memo
+        assert len(key) == 5 and rmsa._reach_limit(state, 100) == math.inf
 
     def test_grooming_edges_alone_best_first(self):
         # lightpaths opened longest first, so id order is not weight order;
@@ -1014,6 +1019,48 @@ def test_groom_index_and_route_memo_match_a_full_scan(seed, channels):
             state = provision_all(topo, m, arch)
         check(state)
     assert "TrZR" in checked  # TrZR's routes
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000), st.sampled_from(TIE_WEIGHTS))
+def test_first_route_off_the_tree_matches_a_full_build(seed, weights):
+    # few distinct lengths, so many pairs have two shortest paths: the first
+    # route, read off the source's tree where the shortest path is strict and
+    # off Yen's k paths where it ties, is the first route of a fresh search
+    # over the edges of all k paths, and a generator read on to the end
+    # replays that search without an AssertionError
+    topo = random_topology(seed, weights)
+    twin = dataclasses.replace(topo)
+    for arch in ("TrIP", "TrZR"):
+        for k in (1, 2, 3):
+            for catalog in (DEFAULT_CATALOG, DEAR):
+                cfg = PlannerConfig(k)
+                state = NetworkState(topo, arch, cfg, catalog)
+                for src, dst in permutations(topo.nodes, 2):
+                    demand = Demand(src, dst, 100)
+                    fresh = reference_engine.candidate_edges(
+                        NetworkState(twin, arch, cfg, catalog), demand)
+                    fresh = fresh_routes({uv: tuple(sorted(alts)) for uv, alts in fresh.items()},
+                                         src, dst)
+                    assert next(rmsa._candidate_routes(state, demand)) == fresh[0]
+                    assert list(rmsa._candidate_routes(state, demand)) == fresh
+
+
+def test_yen_runs_for_a_tied_pair_only(monkeypatch):
+    # a-b-d and a-c-d are equally long, so d is tied in a's tree and the
+    # first route to d needs Yen's paths; a-b is strictly shortest, so its
+    # first route is read off the tree, and Yen runs for it on a retry only
+    topo = mk_topo("t", [("a", "b", 100), ("b", "d", 100), ("a", "c", 100), ("c", "d", 100)])
+    state = NetworkState(topo, "TrIP", PlannerConfig())
+    yen, calls = rmsa._yen, []
+    monkeypatch.setattr(rmsa, "_yen", lambda adj, first, k: calls.append(first) or yen(adj, first, k))
+    assert topology.tied_nodes(topo, "a") == {"d"}
+    (edge,) = next(rmsa._candidate_routes(state, Demand("a", "b", 100)))
+    assert edge.subpath == ("a", "b") and calls == []
+    (edge,) = next(rmsa._candidate_routes(state, Demand("a", "d", 100)))
+    assert edge.subpath == ("a", "b", "d") and calls == [("a", "b", "d")]
+    assert len(list(rmsa._candidate_routes(state, Demand("a", "b", 100)))) > 1
+    assert calls == [("a", "b", "d"), ("a", "b")]
 
 
 def test_memoized_retries_replan_without_a_search():

@@ -92,9 +92,12 @@ class TestScenario:
          "weight of rate 100 in scenario 'x' must be a finite number, got True"),
         ({"name": "x", "weights": {"100": math.nan, "200": 1.0}},
          "weight of rate 100 in scenario 'x' must be a finite number, got nan"),
+        # an int too large for a float, which float() refuses with OverflowError
+        ({"name": "x", "weights": {"100": 10**400}},
+         "weight of rate 100 in scenario 'x' must be a finite number, got 1000"),
     ], ids=["weights-missing", "weights-list", "name-missing", "name-null", "name-number",
             "document-type",
-            "weight-key", "weight-string", "weight-bool", "weight-nan"])
+            "weight-key", "weight-string", "weight-bool", "weight-nan", "weight-huge"])
     def test_malformed_scenario_file_named(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -112,12 +112,14 @@ class TestCatalog:
         ({"modes": [dict(ZR_ROW, rate_gbps=400.7)]}, "mode #0: rate_gbps must be an integer"),
         ({"modes": [dict(ZR_ROW, cost_units="abc")]}, "mode #0: cost_units must be a number"),
         ({"modes": [dict(ZR_ROW, reach_km=True)]}, "mode #0: reach_km must be a number"),
+        # an int too large for a float, which float() refuses with OverflowError
+        ({"modes": [dict(ZR_ROW, reach_km=10**400)]}, "mode #0: reach_km must be a finite number"),
         # plans and the merge pass name a mode by (module, modulation, rate)
         ({"modes": [ZR_ROW, ZRP_ROW, dict(ZRP_ROW, reach_km=300, power_units=1.1)]},
          r"modes #1 and #2 are both ZR\+/16QAM/400G"),
     ], ids=["modes-missing", "modes-empty", "field-missing", "mode-type", "module-name",
             "power-negative", "cost-negative", "power-inf", "cost-nan", "rate-fraction",
-            "cost-string", "reach-bool", "duplicate-key"])
+            "cost-string", "reach-bool", "reach-huge", "duplicate-key"])
     def test_malformed_catalog_file_named(self, tmp_path, doc, message):
         path = tmp_path / "modes.json"
         path.write_text(json.dumps(doc))
