@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .rmsa import NetworkState
-from .topology import is_finite_number, read_json
+from .topology import MAX_COUNT, is_finite_number, read_json
 
 
 class PowerConfigError(ValueError):
@@ -71,6 +71,9 @@ class DimensioningConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise PowerConfigError(f"dimensioning entry {f.name} must be an int "
                                        f">= {least}, got {value!r}")
+            if value > MAX_COUNT:
+                raise PowerConfigError(f"dimensioning entry {f.name} must be <= 2**53, "
+                                       f"got {value!r}")
 
 
 def _config_section(doc: dict, name: str, cls):
@@ -174,7 +177,7 @@ def dimension_node(
     if eq.transparent:
         eq.iroadm = degree
         eq.monitoring_units = degree
-        banks = math.ceil(degree * state.topology.grid.channel_count / cfg.adb_capacity)
+        banks = -(-degree * state.topology.grid.channel_count // cfg.adb_capacity)  # ceil, in ints
         eq.adb = banks
         eq.awg = banks        # one mux/demux per bank, outside the shelf
         eq.oa = banks         # low-loss ADBs require an associated amplifier
@@ -188,7 +191,7 @@ def dimension_node(
         eq.oa = 2 * degree
         eq.monitoring_units = degree
         slots = eq.oa * cfg.oa_slots + eq.monitoring_units * cfg.monitoring_slots
-    eq.shelves = math.ceil(slots / cfg.shelf_slot_capacity) if slots else 0
+    eq.shelves = -(-slots // cfg.shelf_slot_capacity)  # ceil, in ints: exact at any count
     return eq
 
 
@@ -218,10 +221,20 @@ def network_power(
     pt: PowerTable = PowerTable(),
     cfg: DimensioningConfig = DimensioningConfig(),
 ) -> tuple[dict[str, PowerBreakdown], PowerBreakdown]:
-    per_node = {n: power_of(eq, pt) for n, eq in dimension_network(state, cfg).items()}
+    """Each node's power and the network's total. A total that overflows to
+    inf raises PowerConfigError naming the entry whose terms alone sum highest."""
+    equipment = dimension_network(state, cfg)
+    per_node = {n: power_of(eq, pt) for n, eq in equipment.items()}
     total = PowerBreakdown()
     for pb in per_node.values():
         total = total + pb
+    if not math.isfinite(total.total):
+        zero = dict.fromkeys((f.name for f in fields(pt)), 0.0)
+        alone = {e: PowerTable(**{**zero, e: getattr(pt, e)}) for e in zero}  # the rest 0
+        entry = max(zero, key=lambda e: sum(power_of(eq, alone[e]).total
+                                            for eq in equipment.values()))
+        raise PowerConfigError(f"power entry {entry} = {getattr(pt, entry)!r} overflows the "
+                               f"power total of {state.topology.name}/{state.arch.name} to inf")
     return per_node, total
 
 

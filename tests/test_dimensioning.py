@@ -63,10 +63,16 @@ class TestPowerTable:
             ({"dimensioning": {"oa_slots": -1}}, "dimensioning entry oa_slots must be an int >= 0"),
             ({"dimensioning": {"iroadm_slots": False}},
              "dimensioning entry iroadm_slots must be an int >= 0"),
+            # a count whose equipment tally would be too large for a float
+            ({"dimensioning": {"iroadm_slots": 10**400}},
+             "dimensioning entry iroadm_slots must be <= 2\\*\\*53, got 1000"),
+            ({"dimensioning": {"adb_capacity": 2**53 + 1}},
+             "dimensioning entry adb_capacity must be <= 2\\*\\*53"),
         ],
         ids=["power-key", "dimensioning-key", "section-type", "section-name", "document-type",
              "power-string", "power-bool", "power-inf", "power-huge",
-             "capacity-zero", "capacity-float", "slots-negative", "slots-bool"],
+             "capacity-zero", "capacity-float", "slots-negative", "slots-bool",
+             "slots-huge", "capacity-huge"],
     )
     def test_config_file_unknown_entry_named(self, tmp_path, doc, message):
         path = tmp_path / "power.json"
@@ -84,6 +90,21 @@ class TestPowerTable:
             load_power_config(path)
         with pytest.raises(PowerConfigError, match="dimensioning entry adb_slots"):
             DimensioningConfig(adb_slots=-1)
+
+
+    def test_power_total_overflowing_to_inf_names_the_entry(self):
+        # two ZR+ terminations at 1e308 each sum beyond a float; every
+        # other entry's total stays finite
+        state = provisioned("TrIP")
+        with pytest.raises(PowerConfigError, match=(
+                "^power entry zr_plus = 1e\\+308 overflows the power total of t/TrIP to inf$")):
+            network_power(state, PowerTable(zr_plus=1e308))
+        # the largest counts an input may give keep every total a number
+        dc = DimensioningConfig(**dict.fromkeys(("iroadm_slots", "adb_slots", "oa_slots",
+                                                 "monitoring_slots"), 2**53))
+        for arch in ("OpIP", "TrIP"):
+            _, total = network_power(provisioned(arch, channels=2**53), PowerTable(), dc)
+            assert 0 < total.total < float("inf")
 
 
 class TestNodeDimensioning:

@@ -362,6 +362,39 @@ class TestCli:
         assert capsys.readouterr().err == (
             "ipowdm: error: link #0 field 'length_km' must be a number, got None\n")
 
+    # a 401-digit count, whose dimensioning once ended in an OverflowError
+    # traceback, and a power entry whose total overflows to inf
+    @pytest.mark.parametrize("command, file, doc, message", [
+        ("power", "--topology", "big-grid",
+         "channel_count must be <= 2**53, got 999"),
+        ("power", "--power-config", {"dimensioning": {"iroadm_slots": int("9" * 401)}},
+         "dimensioning entry iroadm_slots must be <= 2**53, got 999"),
+        ("power", "--power-config", {"power": {"zr": 1e308}},
+         "power entry zr = 1e+308 overflows the power total of j14/TrIP to inf\n"),
+        ("experiment", "--power-config", {"power": {"zr": 1e308}},
+         "power entry zr = 1e+308 overflows the power total of j14/TrIP to inf\n"),
+    ], ids=["channel-count", "iroadm-slots", "power-inf", "experiment-power-inf"])
+    def test_oversized_input_is_one_line_error(self, tmp_path, capsys, command, file, doc,
+                                               message):
+        topology = "j14"
+        if doc == "big-grid":
+            doc = load_named_topology("j14").to_dict()
+            doc["grid"]["channel_count"] = int("9" * 401)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        if file == "--topology":
+            topology = str(path)
+        argv = [command, "--topology", topology, "--arch", "TrIP", "--out", str(tmp_path / "o")]
+        if file != "--topology":
+            argv += [file, str(path)]
+        if command == "experiment":
+            argv += ["--scenario", "TS1", "--runs", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ipowdm: error: " + message)
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_strict_blocking_is_one_line_error(self, tmp_path, capsys):
         path = tmp_path / "tight.json"
         path.write_text(mk_topo("tight", [("a", "b", 100), ("b", "c", 100)], channels=1).to_json())

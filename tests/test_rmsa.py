@@ -472,7 +472,8 @@ class TestDeterminism:
         assert state_digest(provision_all(topo, m, arch)) == GOLDEN_STATE_DIGESTS[case]
 
     def test_golden_state_digest_on_warm_topology(self):
-        # every plan after the first reuses the paths memoized on the topology
+        # every plan after the first reuses the trees, routes and plans
+        # memoized on the topology
         topo = load_named_topology("j14")
         m = generate_traffic(topo, load_scenario("TS1"), 0)
         for _ in range(2):
@@ -480,7 +481,7 @@ class TestDeterminism:
                 assert state_digest(provision_all(topo, m, arch)) == GOLDEN_STATE_DIGESTS[
                     ("j14", arch)
                 ]
-        assert topo._ksp_memo
+        assert topo._spt_memo and topo._aux_memo and topo._plan_memo
 
     def test_identical_runs_identical_states(self):
         for seed in (0, 3):
@@ -523,7 +524,7 @@ def candidate_graph(state, demand):
     graph = rmsa._candidate_graph(
         paths, [topo.path_link_lengths(p) for p in paths],
         not state.arch.intermediate_ip_grooming, state._new_lp_penalty,
-        rmsa._reach_limit(state, demand.rate_gbps), topo._aux_intern)
+        rmsa._reach_limit(state, demand.rate_gbps))
     return *graph, list(rmsa._candidate_routes(state, demand))
 
 
@@ -793,9 +794,9 @@ class TestAuxShortestPath:
 
 class TestShortestPathReads:
     def test_opip_runs_no_spur_search(self):
-        # OpIP reads shortest paths only, so its k-path memo holds k=1 lists
-        # only, and topology's search runs without a target (each source's
-        # tree) but never as Yen's spur search, which has one
+        # OpIP reads shortest paths only, so topology's search runs without
+        # a target (each source's tree, once) but never as Yen's spur search,
+        # which has one
         topo = load_named_topology("j14")
         m = generate_traffic(topo, load_scenario("TS1"), 0)
         search = topology.lexicographic_dijkstra
@@ -810,7 +811,7 @@ class TestShortestPathReads:
             state = provision_all(topo, m, "OpIP")
         assert state_digest(state) == GOLDEN_STATE_DIGESTS[("j14", "OpIP")]
         assert targets == [None] * len(topo.nodes)
-        assert topo._ksp_memo and {k for _, _, k in topo._ksp_memo} == {1}
+        assert sorted(topo._spt_memo) == list(topo.nodes)
 
     @pytest.mark.parametrize("name", ["j14", "g17"])
     def test_shortest_km_is_the_first_of_three_paths(self, name):
@@ -822,7 +823,8 @@ class TestShortestPathReads:
             km = topo.path_length_km(first)
             assert k_shortest_paths(topo, src, dst, 1) == (first,)
             assert state.shortest_km(src, dst).hex() == km.hex()
-            dist, path = topo._spt_memo[src][dst]
+            tree, _ = topo._spt_memo[src]
+            dist, path = tree[dst]
             assert path == first and dist.hex() == km.hex()
 
     def test_opip_leaves_the_memoized_adjacency_unwritten(self):

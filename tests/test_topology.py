@@ -67,6 +67,11 @@ class TestValidation:
             ChannelGrid(0, 100)
         with pytest.raises(TopologyError):
             ChannelGrid(10, 0)
+        # a count whose add/drop tally would be too large for a float
+        assert ChannelGrid(2**53).channel_count == 2**53
+        for count in (2**53 + 1, 10**400):
+            with pytest.raises(TopologyError, match=r"^channel_count must be <= 2\*\*53, got "):
+                ChannelGrid(count)
 
     @pytest.mark.parametrize(
         "grid", [{"channel_count": "5"}, {"channel_count": 5.0}, {"spacing_ghz": True}]
@@ -218,11 +223,10 @@ class TestShortestPaths:
 
     def test_memo_returns_equal_immutable_results(self):
         topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1), ("a", "c", 3)])
-        first = k_shortest_paths(topo, "a", "c", 2)
-        # a tuple never equals a list, so this also pins the immutable type
-        assert first == (("a", "b", "c"), ("a", "c"))
-        # every call shares the memo entry instead of copying it
-        assert k_shortest_paths(topo, "a", "c", 2) is first
+        # a tuple never equals a list, so this also pins the immutable type,
+        # on the call that builds the source's tree and on one that reads it
+        for _ in range(2):
+            assert k_shortest_paths(topo, "a", "c", 2) == (("a", "b", "c"), ("a", "c"))
 
     def test_bad_arguments_rejected_on_warm_topology(self):
         topo = mk_topo("m", [("a", "b", 1), ("b", "c", 1)])
@@ -237,7 +241,7 @@ class TestShortestPaths:
     def test_memo_does_not_change_equality_or_hash(self):
         warm = parse_topology(json.loads(TRIANGLE.to_json()))
         k_shortest_paths(warm, "A", "C", 3)
-        assert warm._ksp_memo and warm._spt_memo  # both memos are warm
+        assert warm._spt_memo  # the per-source memo is warm
         fresh = parse_topology(json.loads(TRIANGLE.to_json()))
         assert warm == fresh
         assert hash(warm) == hash(fresh)
@@ -262,16 +266,17 @@ def _assert_matches_plain_yen(topo, ks):
             assert k_shortest_paths(topo, src, dst, k) == \
                 reference_engine.yen_k_shortest_paths(topo, src, dst, k), (src, dst, k)
     # on a twin with a memo of its own, the pairs in shuffled order and k
-    # cycling through 1, 3, 2: a miss leaves the entries held as they were
+    # cycling through 1, 3, 2: a miss leaves the per-source entries held as
+    # they were
     twin = dataclasses.replace(topo)
     pairs = list(itertools.permutations(topo.nodes, 2))
     random.Random(len(pairs)).shuffle(pairs)
     for i, (src, dst) in enumerate(pairs):
         k = (1, 3, 2)[i % 3]
-        held = dict(twin._ksp_memo)
+        held = dict(twin._spt_memo)
         assert k_shortest_paths(twin, src, dst, k) == \
             reference_engine.yen_k_shortest_paths(topo, src, dst, k), (src, dst, k)
-        assert all(twin._ksp_memo[key] is paths for key, paths in held.items())
+        assert all(twin._spt_memo[key] is entry for key, entry in held.items())
 
 
 class TestAgainstPlainYen:
